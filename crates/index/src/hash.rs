@@ -5,7 +5,10 @@
 //! The essentials reproduced here:
 //!
 //! * **1-RT lookups** — the directory is cached locally, so a lookup is a
-//!   single one-sided READ of the bucket.
+//!   single one-sided READ of the bucket. The cache is an immutable
+//!   `Arc` snapshot, replaced whole on refresh or split: an operation
+//!   shares it by pointer, so its host cost does not grow with the
+//!   directory.
 //! * **Lock-free inserts** — a slot is claimed by CASing its key word
 //!   from 0 to a reservation marker, the value is written under that
 //!   reservation, and only then is the real key published, so a
@@ -78,12 +81,56 @@ fn hash(key: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Locally cached directory image.
-#[derive(Debug, Clone)]
+/// Little-endian `u64` at byte `at` of a bucket or directory image.
+#[inline]
+fn word(buf: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(buf[at..at + 8].try_into().expect("8-byte range"))
+}
+
+/// Byte offset of slot `s` within a bucket.
+#[inline]
+fn slot_off(s: usize) -> usize {
+    SLOT0 + s * 16
+}
+
+/// Does a slot key word hold no live entry?
+#[inline]
+fn is_dead(k: u64) -> bool {
+    k == 0 || k == TOMBSTONE || k == RESERVED
+}
+
+fn assert_user_key(key: u64) {
+    assert!(key != 0 && key != TOMBSTONE && key != RESERVED, "reserved key");
+}
+
+/// Locally cached directory image. Never mutated: a refresh or split
+/// publishes a new snapshot, and handles share the current one by `Arc`.
+#[derive(Debug)]
 struct DirCache {
     version: u64,
     depth: u32,
     entries: Vec<u64>, // raw bucket addrs
+}
+
+/// A bucket image that was not mid-split and covered the probed key.
+struct Probe {
+    bucket: GlobalAddr,
+    header: u64,
+    buf: [u8; BUCKET_SIZE],
+}
+
+impl Probe {
+    fn key(&self, s: usize) -> u64 {
+        word(&self.buf, slot_off(s))
+    }
+
+    fn slot(&self, s: usize) -> GlobalAddr {
+        self.bucket.offset_by(slot_off(s) as u64)
+    }
+
+    fn find(&self, key: u64) -> Option<usize> {
+        (0..BUCKET_SLOTS).find(|&s| self.key(s) == key)
+    }
 }
 
 /// A compute-node handle to a DSM-resident extendible hash index.
@@ -91,7 +138,7 @@ pub struct RaceHash {
     layer: Arc<DsmLayer>,
     /// Meta cell: [dir_version][dir_lock][dir_addr raw][dir_depth].
     meta: GlobalAddr,
-    cache: Mutex<Option<DirCache>>,
+    cache: Mutex<Option<Arc<DirCache>>>,
     worker_tag: u64,
 }
 
@@ -136,30 +183,24 @@ impl RaceHash {
         }
     }
 
-    fn fetch_dir(&self, ep: &Endpoint) -> DsmResult<DirCache> {
-        let dir_raw = self.layer.read_u64(ep, self.meta.offset_by(16))?;
-        let dir_addr = GlobalAddr::from_raw(dir_raw);
+    /// Read the directory from DSM and publish it as the new snapshot.
+    fn fetch_dir(&self, ep: &Endpoint) -> DsmResult<Arc<DirCache>> {
+        let dir_addr = GlobalAddr::from_raw(self.layer.read_u64(ep, self.meta.offset_by(16))?);
         let mut hdr = [0u8; 16];
         self.layer.read(ep, dir_addr, &mut hdr)?;
-        let version = u64::from_le_bytes(hdr[0..8].try_into().unwrap());
-        let depth = u64::from_le_bytes(hdr[8..16].try_into().unwrap()) as u32;
-        let n = 1usize << depth;
-        let mut body = vec![0u8; n * 8];
+        let depth = word(&hdr, 8) as u32;
+        let mut body = vec![0u8; 8 << depth];
         self.layer.read(ep, dir_addr.offset_by(16), &mut body)?;
-        let entries = body
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let cache = DirCache {
-            version,
+        let snapshot = Arc::new(DirCache {
+            version: word(&hdr, 0),
             depth,
-            entries,
-        };
-        *self.cache.lock() = Some(cache.clone());
-        Ok(cache)
+            entries: (0..body.len()).step_by(8).map(|at| word(&body, at)).collect(),
+        });
+        *self.cache.lock() = Some(snapshot.clone());
+        Ok(snapshot)
     }
 
-    fn dir(&self, ep: &Endpoint) -> DsmResult<DirCache> {
+    fn dir(&self, ep: &Endpoint) -> DsmResult<Arc<DirCache>> {
         if let Some(c) = self.cache.lock().clone() {
             ep.charge_local(40); // local directory probe
             return Ok(c);
@@ -182,162 +223,111 @@ impl RaceHash {
         self.layer.read_u64(ep, self.meta)
     }
 
-    /// Point lookup: one bucket READ plus a header-validation read.
-    pub fn get(&self, ep: &Endpoint, key: u64) -> DsmResult<Option<u64>> {
-        assert!(key != 0 && key != TOMBSTONE && key != RESERVED, "reserved key");
-        let _span = ep.span(Phase::IndexLookup);
+    /// READ the bucket `key` hashes to until it is not mid-split and
+    /// covers `key`. A bucket deeper than the cached directory or with
+    /// another pattern has split since the snapshot: refetch and retry.
+    fn probe(&self, ep: &Endpoint, key: u64) -> DsmResult<Probe> {
         loop {
             let dir = self.dir(ep)?;
             let bucket = self.bucket_for(&dir, key);
-            let mut buf = vec![0u8; BUCKET_SIZE];
+            let mut buf = [0u8; BUCKET_SIZE];
             self.layer.read(ep, bucket, &mut buf)?;
-            let header = u64::from_le_bytes(buf[0..8].try_into().unwrap());
-            let pattern = u64::from_le_bytes(buf[8..16].try_into().unwrap());
+            let header = word(&buf, 0);
             if header_is_splitting(header) {
                 std::hint::spin_loop();
                 continue;
             }
-            if header_depth(header) > dir.depth
-                || !Self::covers(key, header_depth(header), pattern)
-            {
-                // Bucket split since we cached the directory.
+            let depth = header_depth(header);
+            if depth > dir.depth || !Self::covers(key, depth, word(&buf, 8)) {
                 self.fetch_dir(ep)?;
                 continue;
             }
-            let mut found = None;
-            for s in 0..BUCKET_SLOTS {
-                let base = SLOT0 + s * 16;
-                let k = u64::from_le_bytes(buf[base..base + 8].try_into().unwrap());
-                if k == key {
-                    found =
-                        Some(u64::from_le_bytes(buf[base + 8..base + 16].try_into().unwrap()));
-                    break;
-                }
+            return Ok(Probe { bucket, header, buf });
+        }
+    }
+
+    /// Seqlock validation: is the probed bucket's header still the one
+    /// its image was read under (no split rewrote it since)?
+    fn unchanged(&self, ep: &Endpoint, p: &Probe) -> DsmResult<bool> {
+        Ok(self.layer.read_u64(ep, p.bucket)? == p.header)
+    }
+
+    /// Point lookup: one bucket READ plus a header-validation read.
+    pub fn get(&self, ep: &Endpoint, key: u64) -> DsmResult<Option<u64>> {
+        assert_user_key(key);
+        let _span = ep.span(Phase::IndexLookup);
+        loop {
+            let p = self.probe(ep, key)?;
+            let found = p.find(key).map(|s| word(&p.buf, slot_off(s) + 8));
+            // A split that rewrote the bucket while we scanned may have
+            // paired keys with stale values in our image.
+            if self.unchanged(ep, &p)? {
+                return Ok(found);
             }
-            // Seqlock validation: if a split rewrote the bucket while we
-            // scanned, our snapshot may pair keys with stale values.
-            if self.layer.read_u64(ep, bucket)? != header {
-                continue;
-            }
-            return Ok(found);
         }
     }
 
     /// Insert (or update) `key -> value`.
     pub fn put(&self, ep: &Endpoint, key: u64, value: u64) -> DsmResult<()> {
-        assert!(key != 0 && key != TOMBSTONE && key != RESERVED, "reserved key");
+        assert_user_key(key);
         loop {
-            let dir = self.dir(ep)?;
-            let bucket = self.bucket_for(&dir, key);
-            let mut buf = vec![0u8; BUCKET_SIZE];
-            self.layer.read(ep, bucket, &mut buf)?;
-            let header = u64::from_le_bytes(buf[0..8].try_into().unwrap());
-            let pattern = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-            if header_is_splitting(header) {
-                std::hint::spin_loop();
-                continue;
-            }
-            if header_depth(header) > dir.depth
-                || !Self::covers(key, header_depth(header), pattern)
-            {
+            let p = self.probe(ep, key)?;
+            if let Some(s) = p.find(key) {
+                // Update in place. A concurrent split may have copied the
+                // old value into a rewritten image; revalidate and redo.
+                self.layer.write_u64(ep, p.slot(s).offset_by(8), value)?;
+                if self.unchanged(ep, &p)? {
+                    return Ok(());
+                }
                 self.fetch_dir(ep)?;
                 continue;
             }
-            // Update in place if present.
-            let mut free_slot = None;
-            for s in 0..BUCKET_SLOTS {
-                let base = SLOT0 + s * 16;
-                let k = u64::from_le_bytes(buf[base..base + 8].try_into().unwrap());
-                if k == key {
-                    self.layer
-                        .write_u64(ep, bucket.offset_by((base + 8) as u64), value)?;
-                    // A concurrent split may have copied the old value
-                    // into a rewritten image; revalidate and redo if so.
-                    if self.layer.read_u64(ep, bucket)? == header {
-                        return Ok(());
-                    }
-                    self.fetch_dir(ep)?;
-                    continue;
-                }
-                if (k == 0 || k == TOMBSTONE) && free_slot.is_none() {
-                    free_slot = Some((s, k));
-                }
-            }
-            if let Some((s, old_k)) = free_slot {
-                let base = (SLOT0 + s * 16) as u64;
-                // Reserve the key word by CAS, write the value under the
-                // reservation, then publish the real key. Claiming before
-                // the value write is what makes the slot race safe: a
-                // loser's CAS fails before it ever touches the value
-                // word, and readers match neither RESERVED nor 0.
-                if self.layer.cas(ep, bucket.offset_by(base), old_k, RESERVED)? == old_k {
-                    self.layer.write_u64(ep, bucket.offset_by(base + 8), value)?;
-                    self.layer.write_u64(ep, bucket.offset_by(base), key)?;
-                    // Validate against a concurrent split. The splitter
-                    // flips the header to odd *before* it reads the
-                    // bucket, so either (a) our published entry is in
-                    // its snapshot and survives the rewrite, or (b) the
-                    // snapshot caught RESERVED (reclaimed as dead) or
-                    // predates our claim — then the header we re-read
-                    // here already differs and we undo + retry.
-                    if self.layer.read_u64(ep, bucket)? == header {
-                        return Ok(());
-                    }
-                    let _ = self.layer.cas(ep, bucket.offset_by(base), key, 0)?;
-                    self.fetch_dir(ep)?;
-                    continue;
-                }
-                // Lost the slot race; retry from the bucket read.
+            let Some(s) = (0..BUCKET_SLOTS).find(|&s| matches!(p.key(s), 0 | TOMBSTONE)) else {
+                // Bucket full: split it, then retry.
+                self.split_bucket(ep, key)?;
                 continue;
+            };
+            let (slot, old_k) = (p.slot(s), p.key(s));
+            // Reserve the key word by CAS, write the value under the
+            // reservation, then publish the real key. Claiming before
+            // the value write is what makes the slot race safe: a loser's
+            // CAS fails before it ever touches the value word, and
+            // readers match neither RESERVED nor 0.
+            if self.layer.cas(ep, slot, old_k, RESERVED)? != old_k {
+                continue; // lost the slot race; retry from the bucket read
             }
-            // Bucket full: split it, then retry.
-            self.split_bucket(ep, key)?;
+            self.layer.write_u64(ep, slot.offset_by(8), value)?;
+            self.layer.write_u64(ep, slot, key)?;
+            // Validate against a concurrent split. The splitter flips the
+            // header to odd *before* it reads the bucket, so either (a)
+            // our published entry is in its snapshot and survives the
+            // rewrite, or (b) the snapshot caught RESERVED (reclaimed as
+            // dead) or predates our claim — then the header we re-read
+            // here already differs and we undo + retry.
+            if self.unchanged(ep, &p)? {
+                return Ok(());
+            }
+            let _ = self.layer.cas(ep, slot, key, 0)?;
+            self.fetch_dir(ep)?;
         }
     }
 
     /// Delete `key`; returns whether it existed.
     pub fn delete(&self, ep: &Endpoint, key: u64) -> DsmResult<bool> {
+        assert_user_key(key);
         loop {
-            let dir = self.dir(ep)?;
-            let bucket = self.bucket_for(&dir, key);
-            let mut buf = vec![0u8; BUCKET_SIZE];
-            self.layer.read(ep, bucket, &mut buf)?;
-            let header = u64::from_le_bytes(buf[0..8].try_into().unwrap());
-            let pattern = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-            if header_is_splitting(header) {
-                std::hint::spin_loop();
-                continue;
-            }
-            if header_depth(header) > dir.depth
-                || !Self::covers(key, header_depth(header), pattern)
-            {
-                self.fetch_dir(ep)?;
-                continue;
-            }
-            let mut removed = None;
-            for s in 0..BUCKET_SLOTS {
-                let base = (SLOT0 + s * 16) as u64;
-                let k = u64::from_le_bytes(
-                    buf[base as usize..base as usize + 8].try_into().unwrap(),
-                );
-                if k == key {
-                    // Tombstone the key word.
-                    removed = Some(
-                        self.layer.cas(ep, bucket.offset_by(base), key, TOMBSTONE)? == key,
-                    );
-                    break;
-                }
-            }
-            let Some(removed) = removed else {
+            let p = self.probe(ep, key)?;
+            let Some(s) = p.find(key) else {
                 return Ok(false);
             };
-            if self.layer.read_u64(ep, bucket)? == header {
+            // Tombstone the key word.
+            let removed = self.layer.cas(ep, p.slot(s), key, TOMBSTONE)? == key;
+            if self.unchanged(ep, &p)? {
                 return Ok(removed);
             }
             // Raced a split: the rewritten image may have resurrected the
             // key; retry the delete against the fresh layout.
             self.fetch_dir(ep)?;
-            continue;
         }
     }
 
@@ -366,35 +356,25 @@ impl RaceHash {
         debug_assert!(!header_is_splitting(header), "split under dir lock");
         let local_depth = header_depth(header);
         self.layer.write_u64(ep, old_bucket, header + 1)?;
-        let mut buf = vec![0u8; BUCKET_SIZE];
+        let mut buf = [0u8; BUCKET_SIZE];
         self.layer.read(ep, old_bucket, &mut buf)?;
 
         // Re-check fullness (someone may have split already / writers may
         // have undone entries).
-        let live = (0..BUCKET_SLOTS)
-            .filter(|s| {
-                let base = SLOT0 + s * 16;
-                let k = u64::from_le_bytes(buf[base..base + 8].try_into().unwrap());
-                k != 0 && k != TOMBSTONE && k != RESERVED
-            })
-            .count();
-        if live < BUCKET_SLOTS {
+        if (0..BUCKET_SLOTS).any(|s| is_dead(word(&buf, slot_off(s)))) {
             // Restore the stable header and bail.
             self.layer.write_u64(ep, old_bucket, header)?;
             return Ok(());
         }
 
-        let (new_depth, new_dir) = if local_depth == dir.depth {
-            // Double the directory.
+        let mut entries = dir.entries.clone();
+        let new_dir_addr = if local_depth == dir.depth {
+            // Double the directory; the high half mirrors the low.
             assert!(dir.depth < MAX_GLOBAL_DEPTH, "directory at max depth");
-            let nd = dir.depth + 1;
-            let new_dir_addr = self.layer.alloc(dir_bytes(nd))?;
-            let mut entries: Vec<u64> = Vec::with_capacity(1 << nd);
-            entries.extend_from_slice(&dir.entries);
-            entries.extend_from_slice(&dir.entries); // high half mirrors
-            (nd, Some((new_dir_addr, entries)))
+            entries.extend_from_within(..);
+            Some(self.layer.alloc(dir_bytes(dir.depth + 1))?)
         } else {
-            (dir.depth, None)
+            None
         };
 
         // New sibling bucket at local_depth + 1.
@@ -402,18 +382,17 @@ impl RaceHash {
         let split_bit = 1u64 << local_depth;
 
         // Rehash: entries whose hash has the split bit set move.
-        let old_pattern = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-        let mut old_img = buf.clone();
-        let mut new_img = vec![0u8; BUCKET_SIZE];
+        let old_pattern = word(&buf, 8);
+        let mut old_img = buf;
+        let mut new_img = [0u8; BUCKET_SIZE];
         old_img[0..8].copy_from_slice(&stable_header(local_depth + 1).to_le_bytes());
         new_img[0..8].copy_from_slice(&stable_header(local_depth + 1).to_le_bytes());
-        old_img[8..16].copy_from_slice(&old_pattern.to_le_bytes());
         new_img[8..16].copy_from_slice(&(old_pattern | split_bit).to_le_bytes());
         let mut new_slot = 0usize;
         for s in 0..BUCKET_SLOTS {
-            let base = SLOT0 + s * 16;
-            let k = u64::from_le_bytes(buf[base..base + 8].try_into().unwrap());
-            if k == 0 || k == TOMBSTONE || k == RESERVED {
+            let base = slot_off(s);
+            let k = word(&buf, base);
+            if is_dead(k) {
                 // RESERVED is an insert we caught mid-claim: its writer
                 // will fail the header validation and retry, so the
                 // reservation is reclaimable dead space here.
@@ -421,26 +400,19 @@ impl RaceHash {
                 continue;
             }
             if hash(k) & split_bit != 0 {
-                new_img[SLOT0 + new_slot * 16..SLOT0 + new_slot * 16 + 16]
-                    .copy_from_slice(&buf[base..base + 16]);
+                let to = slot_off(new_slot);
+                new_img[to..to + 16].copy_from_slice(&buf[base..base + 16]);
                 new_slot += 1;
                 old_img[base..base + 16].fill(0);
             }
         }
         self.layer.write(ep, sibling, &new_img)?;
 
-        // Point the affected directory entries at the sibling and publish.
-        let mut entries = match &new_dir {
-            Some((_, e)) => e.clone(),
-            None => dir.entries.clone(),
-        };
-        let nd_mask = (1u64 << new_depth) - 1;
+        // Point the affected directory entries at the sibling: slot `i`
+        // maps hashes whose low bits are `i`.
         for (i, e) in entries.iter_mut().enumerate() {
-            if *e == old_bucket.to_raw() {
-                // This directory slot maps hashes with index bits == i.
-                if (i as u64 & nd_mask) & split_bit != 0 {
-                    *e = sibling.to_raw();
-                }
+            if *e == old_bucket.to_raw() && i as u64 & split_bit != 0 {
+                *e = sibling.to_raw();
             }
         }
 
@@ -449,28 +421,20 @@ impl RaceHash {
         // local depth vs cached global depth).
         self.layer.write(ep, old_bucket, &old_img)?;
         let new_version = dir.version + 1;
-        match new_dir {
-            Some((new_dir_addr, _)) => {
-                let mut body = Vec::with_capacity(entries.len() * 8);
-                for e in &entries {
-                    body.extend_from_slice(&e.to_le_bytes());
-                }
+        let body: Vec<u8> = entries.iter().flat_map(|e| e.to_le_bytes()).collect();
+        match new_dir_addr {
+            Some(new_dir_addr) => {
+                let new_depth = (dir.depth + 1) as u64;
                 self.layer.write_u64(ep, new_dir_addr, new_version)?;
-                self.layer
-                    .write_u64(ep, new_dir_addr.offset_by(8), new_depth as u64)?;
+                self.layer.write_u64(ep, new_dir_addr.offset_by(8), new_depth)?;
                 self.layer.write(ep, new_dir_addr.offset_by(16), &body)?;
                 self.layer
                     .write_u64(ep, self.meta.offset_by(16), new_dir_addr.to_raw())?;
-                self.layer
-                    .write_u64(ep, self.meta.offset_by(24), new_depth as u64)?;
+                self.layer.write_u64(ep, self.meta.offset_by(24), new_depth)?;
             }
             None => {
                 let dir_addr =
                     GlobalAddr::from_raw(self.layer.read_u64(ep, self.meta.offset_by(16))?);
-                let mut body = Vec::with_capacity(entries.len() * 8);
-                for e in &entries {
-                    body.extend_from_slice(&e.to_le_bytes());
-                }
                 self.layer.write(ep, dir_addr.offset_by(16), &body)?;
                 self.layer.write_u64(ep, dir_addr, new_version)?;
             }
@@ -510,6 +474,8 @@ mod tests {
     use super::*;
     use dsm::DsmConfig;
     use rdma_sim::{Fabric, NetworkProfile};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
 
     fn layer() -> Arc<DsmLayer> {
         let fabric = Fabric::new(NetworkProfile::zero());
@@ -560,6 +526,92 @@ mod tests {
         assert_eq!(h.get(&ep, 5).unwrap(), None);
         h.put(&ep, 5, 51).unwrap();
         assert_eq!(h.get(&ep, 5).unwrap(), Some(51));
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved key")]
+    fn delete_rejects_reserved_key() {
+        let l = layer();
+        let (h, _) = RaceHash::create(&l, 2, 1).unwrap();
+        let ep = l.fabric().endpoint();
+        let _ = h.delete(&ep, 0);
+    }
+
+    #[test]
+    fn warm_lookups_share_one_directory_snapshot() {
+        let l = layer();
+        let (h, _) = RaceHash::create(&l, 4, 1).unwrap();
+        let ep = l.fabric().endpoint();
+        let a = h.dir(&ep).unwrap();
+        let b = h.dir(&ep).unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "a warm dir() must not copy the directory");
+    }
+
+    #[test]
+    fn split_publishes_a_new_snapshot() {
+        let l = layer();
+        let (h, _) = RaceHash::create(&l, 1, 1).unwrap();
+        let ep = l.fabric().endpoint();
+        let before = h.dir(&ep).unwrap();
+        // Two buckets cannot hold 2 * BUCKET_SLOTS + 1 keys.
+        for k in 1..=2 * BUCKET_SLOTS as u64 + 1 {
+            h.put(&ep, k, k).unwrap();
+        }
+        let after = h.dir(&ep).unwrap();
+        assert!(!Arc::ptr_eq(&before, &after));
+        assert!(after.version > before.version);
+        assert!(after.depth > before.depth);
+        // A reader still holding the old snapshot sees it unchanged.
+        assert_eq!((before.depth, before.entries.len()), (1, 2));
+    }
+
+    #[test]
+    fn shared_handle_reads_stay_correct_while_another_handle_splits() {
+        const PRELOAD: u64 = 500;
+        const WRITES: u64 = 3_000;
+        let l = layer();
+        let (h, meta) = RaceHash::create(&l, 1, 1).unwrap();
+        let ep = l.fabric().endpoint();
+        for k in 1..=PRELOAD {
+            h.put(&ep, k, k * 7).unwrap();
+        }
+        let version_before = h.dir(&ep).unwrap().version;
+        let writer_done = AtomicBool::new(false);
+        let start = Barrier::new(3);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let ep = l.fabric().endpoint();
+                    start.wait();
+                    loop {
+                        // The pass that starts after the writer finished
+                        // runs against a directory it has outgrown.
+                        let last = writer_done.load(Ordering::SeqCst);
+                        for k in 1..=PRELOAD {
+                            assert_eq!(h.get(&ep, k).unwrap(), Some(k * 7), "preloaded {k}");
+                        }
+                        for k in PRELOAD + 1..=PRELOAD + WRITES + 100 {
+                            let v = h.get(&ep, k).unwrap();
+                            assert!(v.is_none() || v == Some(k * 7), "key {k} read {v:?}");
+                        }
+                        if last {
+                            break;
+                        }
+                    }
+                });
+            }
+            s.spawn(|| {
+                let writer = RaceHash::open(&l, meta, 2);
+                let ep = l.fabric().endpoint();
+                start.wait();
+                for k in PRELOAD + 1..=PRELOAD + WRITES {
+                    writer.put(&ep, k, k * 7).unwrap();
+                }
+                writer_done.store(true, Ordering::SeqCst);
+            });
+        });
+        let version_after = h.dir(&ep).unwrap().version;
+        assert!(version_after > version_before, "readers refreshed the shared snapshot");
     }
 
     #[test]
