@@ -26,7 +26,7 @@ fn run(
     sections: usize,
     hierarchical: bool,
     capture: bool,
-) -> (f64, u64, Option<(rdma_sim::SeriesSnapshot, rdma_sim::HealthSnapshot, u64)>) {
+) -> (f64, u64, Option<(bench::TelemetrySnapshot, u64)>) {
     let fabric = Fabric::new(NetworkProfile::rdma_cx6());
     let layer = DsmLayer::build(
         &fabric,
@@ -39,19 +39,11 @@ fn run(
     let locks: Vec<_> = (0..HOT_RECORDS).map(|_| layer.alloc(8).unwrap()).collect();
     let data: Vec<_> = (0..HOT_RECORDS).map(|_| layer.alloc(8).unwrap()).collect();
     let mgr = HierarchicalLocks::new(1);
-    let total_cas = std::sync::atomic::AtomicU64::new(0);
-    let makespan = std::sync::atomic::AtomicU64::new(0);
-    let series = std::sync::Mutex::new(rdma_sim::SeriesSnapshot::empty());
-    let health = std::sync::Mutex::new(rdma_sim::HealthSnapshot::empty());
     let barrier = std::sync::Barrier::new(threads);
-    std::thread::scope(|s| {
-        for t in 0..threads {
+    let eps = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads).map(|t| {
             let (fabric, layer, mgr, locks, data) =
                 (fabric.clone(), layer.clone(), mgr.clone(), locks.clone(), data.clone());
-            let total_cas = &total_cas;
-            let makespan = &makespan;
-            let series = &series;
-            let health = &health;
             let barrier = &barrier;
             s.spawn(move || {
                 let ep = fabric.endpoint();
@@ -92,21 +84,17 @@ fn run(
                         ExclusiveLock::release(&layer, &ep, locks[idx]).unwrap();
                     }
                 }
-                total_cas.fetch_add(ep.stats().cas, std::sync::atomic::Ordering::Relaxed);
-                makespan.fetch_max(ep.clock().now_ns(), std::sync::atomic::Ordering::Relaxed);
-                if capture {
-                    series.lock().unwrap().merge(&ep.series_snapshot());
-                    health.lock().unwrap().merge(&ep.health_snapshot());
-                }
-            });
-        }
+                ep
+            })
+        }).collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect::<Vec<_>>()
     });
     let total = (threads * sections) as f64;
-    let ns = makespan.load(std::sync::atomic::Ordering::Relaxed);
+    let ns = eps.iter().map(|ep| ep.clock().now_ns()).max().unwrap_or(0);
     (
         total * 1e9 / ns.max(1) as f64,
-        total_cas.load(std::sync::atomic::Ordering::Relaxed),
-        capture.then(|| (series.into_inner().unwrap(), health.into_inner().unwrap(), ns)),
+        eps.iter().map(|ep| ep.stats().cas).sum(),
+        capture.then(|| (bench::merged(&eps), ns)),
     )
 }
 
@@ -152,10 +140,8 @@ fn main() {
             rep.headline("flat_cas_8t", Json::U(flat_cas));
             rep.headline("hier_cas_8t", Json::U(hier_cas));
         }
-        if let Some((s, h, makespan)) = flagship {
-            rep.timeseries(report::series_json(&s, makespan));
-            rep.health(report::health_json(&h));
-            rep.alerts(report::alerts_json(&report::watchdog_replay(&s, &h, threads as u32)));
+        if let Some((t, makespan)) = flagship {
+            report::attach_planes(&mut rep, &t, makespan, threads as u32);
         }
     }
     report::emit(&rep);

@@ -12,7 +12,7 @@
 //! `BENCH_SCALE=10` shrinks the run for CI smoke; the full-scale
 //! invariants are also asserted by `crates/bench/tests/chaos.rs`.
 
-use bench::chaos::{report_for, run_chaos, tps_sparkline, ChaosConfig};
+use bench::chaos::{report_for, run_chaos, ChaosConfig};
 use bench::{config, report, scale_down, table};
 
 fn main() {
@@ -78,8 +78,9 @@ fn main() {
         "throughput recovered to {:.0}% of pre-fault",
         out.recovered_tps_ratio * 100.0
     );
+    let series = &out.telemetry.series;
     println!("commit rate  {}  ({} windows of {} ns)",
-        tps_sparkline(&out, 48), out.series.len(), out.series.window_ns);
+        out.telemetry.tps_sparkline(48), series.len(), series.window_ns);
 
     report::emit(&report_for(&cfg, &out));
     if config::trace_enabled() {

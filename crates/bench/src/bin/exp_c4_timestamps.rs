@@ -82,8 +82,7 @@ fn main() {
             let makespan = lockstep(&eps, per_client, |_i, ep| {
                 faa.next_ts(ep).unwrap();
             });
-            report::attach_endpoint_series(&mut rep, &eps, makespan);
-            report::attach_endpoint_live_plane(&mut rep, &eps);
+            report::attach_endpoint_planes(&mut rep, &eps, makespan);
         }
     }
     report::emit(&rep);

@@ -67,12 +67,7 @@ fn run_gap(
         }
         if capture {
             if let Some(rep) = flagship.as_deref_mut() {
-                report::attach_endpoint_series(
-                    rep,
-                    std::slice::from_ref(&ep),
-                    ep.clock().now_ns(),
-                );
-                report::attach_endpoint_live_plane(rep, std::slice::from_ref(&ep));
+                report::attach_endpoint_planes(rep, std::slice::from_ref(&ep), ep.clock().now_ns());
             }
         }
         let s = pool.stats();

@@ -191,8 +191,7 @@ fn main() {
                     .unwrap();
             }
         }
-        report::attach_endpoint_series(&mut rep, std::slice::from_ref(&ep), ep.clock().now_ns());
-        report::attach_endpoint_live_plane(&mut rep, std::slice::from_ref(&ep));
+        report::attach_endpoint_planes(&mut rep, std::slice::from_ref(&ep), ep.clock().now_ns());
     }
     report::emit(&rep);
     println!(

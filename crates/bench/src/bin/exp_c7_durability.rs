@@ -79,8 +79,7 @@ fn run(
     );
     if capture {
         rep.headline("repl_k3_commits_per_s", Json::F(tps));
-        report::attach_endpoint_series(rep, &eps, makespan);
-        report::attach_endpoint_live_plane(rep, &eps);
+        report::attach_endpoint_planes(rep, &eps, makespan);
     }
 }
 

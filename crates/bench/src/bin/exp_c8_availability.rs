@@ -50,8 +50,7 @@ fn mirror3(rep: &mut Report) -> (f64, u64, u64) {
     let bytes = layer.recover_member_from_mirror(&rec_ep, 0, 1).unwrap();
     let eps = [ep, rec_ep];
     let makespan = eps.iter().map(|e| e.clock().now_ns()).max().unwrap();
-    report::attach_endpoint_series(rep, &eps, makespan);
-    report::attach_endpoint_live_plane(rep, &eps);
+    report::attach_endpoint_planes(rep, &eps, makespan);
     (3.0, eps[1].clock().now_ns(), bytes)
 }
 

@@ -47,7 +47,7 @@ fn main() {
     let mut rows = Vec::new();
     // Flagship series + live plane (btree+cache lookups), attached once
     // the report exists.
-    let mut flagship: Option<(rdma_sim::SeriesSnapshot, rdma_sim::HealthSnapshot, u64)> = None;
+    let mut flagship: Option<(bench::TelemetrySnapshot, u64)> = None;
 
     // --- B+tree, cached internals (Sherman) ----------------------------
     for (name, cached) in [("btree+cache", true), ("btree naive", false)] {
@@ -67,11 +67,7 @@ fn main() {
             assert!(t.search(&lep, k).unwrap().is_some());
         }
         if cached {
-            flagship = Some((
-                bench::merged_series(std::slice::from_ref(&lep)),
-                bench::merged_health(std::slice::from_ref(&lep)),
-                lep.clock().now_ns(),
-            ));
+            flagship = Some((bench::merged(std::slice::from_ref(&lep)), lep.clock().now_ns()));
         }
         rows.push(Row {
             name,
@@ -146,10 +142,8 @@ fn main() {
     );
     rep.meta("keys", Json::U(n));
     rep.meta("lookups", Json::U(lookups));
-    if let Some((s, h, makespan)) = &flagship {
-        rep.timeseries(report::series_json(s, *makespan));
-        rep.health(report::health_json(h));
-        rep.alerts(report::alerts_json(&report::watchdog_replay(s, h, 1)));
+    if let Some((t, makespan)) = &flagship {
+        report::attach_planes(&mut rep, t, *makespan, 1);
     }
     table::header(&[
         "index",

@@ -14,7 +14,7 @@
 //! `BENCH_SCALE=10` shrinks the run for CI smoke; same-seed
 //! determinism is asserted by `crates/bench/tests/reshard.rs`.
 
-use bench::reshard::{report_for, run_reshard, tps_sparkline, ReshardConfig, Scenario};
+use bench::reshard::{report_for, run_reshard, ReshardConfig, Scenario};
 use bench::{config, report, scale_down, table};
 use dsmdb::MigrationState;
 
@@ -88,9 +88,9 @@ fn main() {
     }
     println!(
         "crash_source commit rate  {}  ({} windows of {} ns)",
-        tps_sparkline(crash, 48),
-        crash.series.len(),
-        crash.series.window_ns,
+        crash.telemetry.tps_sparkline(48),
+        crash.telemetry.series.len(),
+        crash.telemetry.series.window_ns,
     );
     let clean = outs
         .iter()

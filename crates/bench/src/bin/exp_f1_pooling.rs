@@ -166,12 +166,8 @@ fn main() {
             for c in 0..chunks {
                 ep.write(node, (c % 1024) * 64, &rec).unwrap();
             }
-            report::attach_endpoint_series(
-                &mut rep,
-                std::slice::from_ref(&ep),
-                ep.clock().now_ns(),
-            );
-            report::attach_endpoint_live_plane(&mut rep, std::slice::from_ref(&ep));
+            let makespan = ep.clock().now_ns();
+            report::attach_endpoint_planes(&mut rep, std::slice::from_ref(&ep), makespan);
         }
     }
     report::emit(&rep);

@@ -25,7 +25,7 @@
 
 use bench::chaos::{run_chaos, ChaosConfig};
 use bench::observatory::{run_observatory, ObsConfig, ObsOutcome};
-use bench::report::{self, forensics_json, series_json, Json, Report};
+use bench::report::{self, forensics_json, Json, Report};
 use bench::{config, scale_down, table, ForensicsSnapshot};
 use dsmdb::CcProtocol;
 use telemetry::{blame_name, Blame, BLAME_KINDS};
@@ -126,7 +126,7 @@ fn main() {
     for theta in THETAS {
         let cfg = ObsConfig { cc: CcProtocol::TplExclusive, theta, ..base };
         let out = run_observatory(&cfg);
-        let f = &out.forensics;
+        let f = &out.telemetry.forensics;
         let tail = tail_blame(f);
         let tail_total: u64 = tail.iter().sum();
         let tail_dom = tail_majority(f);
@@ -159,7 +159,7 @@ fn main() {
         }
     }
     let flagship = flagship.expect("flagship theta ran");
-    let ff = &flagship.forensics;
+    let ff = &flagship.telemetry.forensics;
 
     // The skewed tail must be lock-wait dominated, and the blame must
     // name the antagonist: its synthetic traces live in the high bits.
@@ -185,7 +185,7 @@ fn main() {
         ..ChaosConfig::default()
     };
     let chaos = run_chaos(&ccfg);
-    let cf = &chaos.forensics;
+    let cf = &chaos.telemetry.forensics;
     let ctail = tail_blame(cf);
     println!();
     println!(
@@ -231,7 +231,7 @@ fn main() {
     let rerun = run_observatory(&ObsConfig { cc: CcProtocol::TplExclusive, theta: 1.2, ..base });
     assert_eq!(
         forensics_json(ff).render(),
-        forensics_json(&rerun.forensics).render(),
+        forensics_json(&rerun.telemetry.forensics).render(),
         "same-seed forensics must be byte-identical"
     );
     println!("determinism: same-seed rerun renders byte-identical forensics JSON");
@@ -273,13 +273,8 @@ fn main() {
         }
     }
 
-    rep.timeseries(series_json(&flagship.series, flagship.makespan_ns));
-    rep.health(report::health_json(&flagship.health));
-    rep.alerts(report::alerts_json(&report::watchdog_replay(
-        &flagship.series,
-        &flagship.health,
-        base.sessions as u32,
-    )));
+    let sessions = base.sessions as u32;
+    report::attach_planes(&mut rep, &flagship.telemetry, flagship.makespan_ns, sessions);
     rep.forensics(forensics_json(ff));
     rep.headline("tps", Json::F(flagship.tps()));
     rep.headline("critical_path_wire_share", Json::F(ff.wire_share()));

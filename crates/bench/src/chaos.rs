@@ -30,19 +30,15 @@
 use dsmdb::{
     Architecture, CcProtocol, Cluster, ClusterConfig, NodeStatus, Op, Session, TxnError,
 };
-use rdma_sim::{
-    ChromeTrace, ContentionSnapshot, HealthSnapshot, NetworkProfile, PhaseSnapshot,
-    SeriesSnapshot, DEFAULT_WINDOW_NS,
-};
+use rdma_sim::{ChromeTrace, NetworkProfile, DEFAULT_WINDOW_NS};
 use telemetry::analysis;
-use telemetry::watchdog::{run_over, windowed_p99};
 use telemetry::RecoveryFacts;
 use txn::locks::LeaseLock;
 
 use crate::report::{
     abort_causes_json, alerts_json, health_json, phases_json, series_json, Json, Report,
 };
-use crate::{sparkline, AbortCauses, AlertEvent, Metric, WatchdogConfig};
+use crate::{AbortCauses, AlertEvent, TelemetrySnapshot, WatchdogConfig};
 
 /// Flight-recorder ring capacity per session: deep enough to keep the
 /// interesting tail (fault window + recovery) of a smoke-scale run.
@@ -152,7 +148,7 @@ impl WindowStats {
 }
 
 /// Everything a chaos run measures.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ChaosOutcome {
     /// Segment tallies: pre-fault, fault, post-recovery.
     pub pre: WindowStats,
@@ -190,31 +186,22 @@ pub struct ChaosOutcome {
     pub recovery: RecoveryFacts,
     /// post tps / pre tps.
     pub recovered_tps_ratio: f64,
-    /// Merged per-phase attribution across all sessions.
-    pub phases: PhaseSnapshot,
-    /// Merged hot-key/wait-for contention profile across all sessions.
-    pub contention: ContentionSnapshot,
+    /// Telemetry merged across all sessions; the health plane also
+    /// folds in the zombie and the recovery endpoint. Series and health
+    /// are empty when [`ChaosConfig::window_ns`] is 0.
+    pub telemetry: TelemetrySnapshot,
     /// Chrome `trace_event` timeline of the run (one thread track per
     /// session), built from each endpoint's flight-recorder ring.
     pub trace: ChromeTrace,
-    /// Windowed time-series merged across all sessions (empty when
-    /// [`ChaosConfig::window_ns`] is 0).
-    pub series: SeriesSnapshot,
-    /// Gauge health plane merged across all sessions, the zombie, and
-    /// the recovery endpoint (empty when sampling is off).
-    pub health: HealthSnapshot,
     /// Per-transaction `(virtual completion ns, latency ns)` samples in
     /// round-robin order — the raw feed for windowed p99s.
     pub latency_samples: Vec<(u64, u64)>,
     /// Virtual instant the recovery actions ran (mirror rebuild + epoch
     /// bump + zombie fencing), ns; 0 when faults were not injected.
     pub t_recover_ns: u64,
-    /// Tail-latency forensics merged across all sessions: blame-share
-    /// histogram plus the worst-K exemplar reservoir.
-    pub forensics: crate::ForensicsSnapshot,
 }
 
-fn splitmix64(mut x: u64) -> u64 {
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -227,7 +214,7 @@ fn lease_expired(now_us: u32, expiry_us: u32) -> bool {
     now_us.wrapping_sub(expiry_us) < (1 << 31)
 }
 
-fn max_clock(sessions: &[Session]) -> u64 {
+pub(crate) fn max_clock(sessions: &[Session]) -> u64 {
     sessions
         .iter()
         .map(|s| s.endpoint().clock().now_ns())
@@ -285,36 +272,8 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     }
     let mut model: Vec<i64> = vec![0; cfg.records as usize];
     let mut out = ChaosOutcome {
-        pre: WindowStats::default(),
-        fault: WindowStats::default(),
-        post: WindowStats::default(),
-        aborts: AbortCauses::default(),
-        steals: 0,
-        zombie_fenced: 0,
-        zombie_survived: 0,
-        lost_writes: 0,
-        stuck_locks: 0,
-        janitor_reclaims: 0,
-        degraded_reads: 0,
-        recovery_bytes: 0,
-        final_epoch: 0,
-        t_crash_ns: 0,
-        recovery: RecoveryFacts {
-            baseline_tps: 0.0,
-            dip_tps: 0.0,
-            dip_depth: 0.0,
-            time_to_detection_ns: None,
-            time_to_recovery_ns: None,
-        },
-        recovered_tps_ratio: 0.0,
-        phases: PhaseSnapshot::default(),
-        contention: ContentionSnapshot::default(),
-        trace: ChromeTrace::new(),
-        series: SeriesSnapshot::empty(),
-        health: HealthSnapshot::empty(),
         latency_samples: Vec::with_capacity(cfg.sessions * cfg.rounds),
-        t_recover_ns: 0,
-        forensics: crate::ForensicsSnapshot::empty(),
+        ..Default::default()
     };
 
     let r_crash = cfg.rounds / 3;
@@ -414,9 +373,9 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
                         Ok(()) => out.zombie_survived += 1,
                     }
                 }
-                out.health.merge(&zep.health_snapshot());
+                out.telemetry.health.merge(&zep.health_snapshot());
             }
-            out.health.merge(&rec_ep.health_snapshot());
+            out.telemetry.health.merge(&rec_ep.health_snapshot());
         }
 
         let seg = if round < r_crash {
@@ -476,11 +435,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     out.steals = sessions.iter().map(|s| s.lock_steals()).sum();
     out.trace.name_process(0, "compute0");
     for (t, s) in sessions.iter().enumerate() {
-        out.phases.merge(&s.phases());
-        out.contention.merge(&s.endpoint().contention_snapshot());
-        out.series.merge(&s.endpoint().series_snapshot());
-        out.health.merge(&s.endpoint().health_snapshot());
-        out.forensics.merge(&s.forensics_snapshot());
+        out.telemetry.merge(&TelemetrySnapshot::of_session(s));
         out.trace.name_thread(0, t as u64 + 1, &format!("session{t}"));
         s.endpoint().export_chrome_trace(&mut out.trace, 0, t as u64 + 1);
     }
@@ -488,29 +443,45 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     out.t_crash_ns = t_crash;
     // The recovery story is *computed* from the windowed series — the
     // printed dip/recovery numbers can no longer drift from the data.
-    if !out.series.is_empty() {
-        out.recovery = analysis::recovery_facts(&out.series, t_crash, 0.9);
+    if !out.telemetry.series.is_empty() {
+        out.recovery = analysis::recovery_facts(&out.telemetry.series, t_crash, 0.9);
     }
 
-    // --- Audit 1: no committed write lost. Every record's final DSM
-    // value must equal the committed-transfer model exactly.
-    let audit = fabric.endpoint();
-    let mut buf = vec![0u8; cfg.payload];
-    for k in 0..cfg.records {
+    (out.lost_writes, out.stuck_locks, out.janitor_reclaims) =
+        audit(&cluster, &model, cfg.payload, cfg.lease_ns, t_end);
+    out
+}
+
+/// The end-of-run audits of the chaos-family harnesses, returning
+/// `(lost_writes, stuck_locks, janitor_reclaims)`.
+///
+/// 1. No committed write lost: every record's final DSM value must
+///    equal the committed-transfer `model` exactly.
+/// 2. No lock held forever: a live, unexpired lock word after the fleet
+///    has exited (at `t_end`) would spin everyone forever; expired
+///    leftovers must be stealable, so a janitor steals and clears them.
+pub(crate) fn audit(
+    cluster: &Cluster,
+    model: &[i64],
+    payload: usize,
+    lease_ns: u64,
+    t_end: u64,
+) -> (u64, u64, u64) {
+    let (layer, table) = (cluster.layer(), cluster.table());
+    let audit = cluster.fabric().endpoint();
+    let mut lost_writes = 0;
+    let mut buf = vec![0u8; payload];
+    for (k, &want) in model.iter().enumerate() {
         layer
-            .read(&audit, table.payload_addr(k, 0), &mut buf)
-            .expect("post-recovery read");
-        let v = i64::from_le_bytes(buf[0..8].try_into().unwrap());
-        if v != model[k as usize] {
-            out.lost_writes += 1;
+            .read(&audit, table.payload_addr(k as u64, 0), &mut buf)
+            .expect("post-run read");
+        if i64::from_le_bytes(buf[0..8].try_into().unwrap()) != want {
+            lost_writes += 1;
         }
     }
-
-    // --- Audit 2: no lock held forever. A live, unexpired lock word
-    // after the fleet has exited would spin everyone forever; expired
-    // leftovers must be stealable (janitor steals and clears them).
     audit.charge_local(t_end.saturating_sub(audit.clock().now_ns()));
-    for k in 0..cfg.records {
+    let (mut stuck_locks, mut janitor_reclaims) = (0, 0);
+    for k in 0..model.len() as u64 {
         let word = layer.read_u64(&audit, table.lock_addr(k)).expect("lock read");
         if word == 0 {
             continue;
@@ -518,24 +489,16 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
         let (_, _, expiry_us) = LeaseLock::decode(word);
         let now_us = (audit.clock().now_ns() / 1_000) as u32;
         if !lease_expired(now_us, expiry_us) {
-            out.stuck_locks += 1;
+            stuck_locks += 1;
             continue;
         }
-        let token = LeaseLock::acquire(
-            &layer,
-            &audit,
-            table.lock_addr(k),
-            998,
-            1,
-            cfg.lease_ns,
-            4,
-        )
-        .expect("expired lease must be stealable");
-        LeaseLock::release(&layer, &audit, table.lock_addr(k), token)
+        let token = LeaseLock::acquire(layer, &audit, table.lock_addr(k), 998, 1, lease_ns, 4)
+            .expect("expired lease must be stealable");
+        LeaseLock::release(layer, &audit, table.lock_addr(k), token)
             .expect("janitor owns the word it installed");
-        out.janitor_reclaims += 1;
+        janitor_reclaims += 1;
     }
-    out
+    (lost_writes, stuck_locks, janitor_reclaims)
 }
 
 /// The watchdog thresholds a chaos run is monitored with: the
@@ -556,12 +519,8 @@ pub fn watchdog_log(
     out: &ChaosOutcome,
     slo_p99_ns: Option<u64>,
 ) -> Vec<AlertEvent> {
-    if out.series.is_empty() {
-        return Vec::new();
-    }
-    let p99s = windowed_p99(&out.latency_samples, out.series.window_ns, out.series.len());
-    let health = (!out.health.is_empty()).then_some(&out.health);
-    run_over(watchdog_config(cfg, slo_p99_ns), &out.series, health, Some(&p99s))
+    let wd = watchdog_config(cfg, slo_p99_ns);
+    out.telemetry.watchdog_log(wd, Some(&out.latency_samples))
 }
 
 /// Build the C13 report (shared by the binary and the determinism test
@@ -592,7 +551,8 @@ pub fn report_for(cfg: &ChaosConfig, out: &ChaosOutcome) -> Report {
         );
     }
     rep.row("aborts", vec![("abort_causes", abort_causes_json(&out.aborts))]);
-    rep.row("contention", vec![("contention", out.contention.to_json())]);
+    let t = &out.telemetry;
+    rep.row("contention", vec![("contention", t.contention.to_json())]);
     rep.row(
         "invariants",
         vec![
@@ -622,15 +582,15 @@ pub fn report_for(cfg: &ChaosConfig, out: &ChaosOutcome) -> Report {
                 "time_to_recovery_ns",
                 out.recovery.time_to_recovery_ns.map_or(Json::Null, Json::U),
             ),
-            ("phases", phases_json(&out.phases)),
+            ("phases", phases_json(&t.phases)),
         ],
     );
-    if !out.series.is_empty() {
-        rep.timeseries(series_json(&out.series, out.post.end_ns));
+    if !t.series.is_empty() {
+        rep.timeseries(series_json(&t.series, out.post.end_ns));
     }
-    rep.health(health_json(&out.health));
+    rep.health(health_json(&t.health));
     rep.alerts(alerts_json(&watchdog_log(cfg, out, None)));
-    rep.forensics(crate::report::forensics_json(&out.forensics));
+    rep.forensics(crate::report::forensics_json(&t.forensics));
     rep.headline("pre_tps", Json::F(out.pre.tps()));
     rep.headline("fault_tps", Json::F(out.fault.tps()));
     rep.headline("post_tps", Json::F(out.post.tps()));
@@ -644,9 +604,4 @@ pub fn report_for(cfg: &ChaosConfig, out: &ChaosOutcome) -> Report {
     rep.headline("lost_writes", Json::U(out.lost_writes));
     rep.headline("stuck_locks", Json::U(out.stuck_locks));
     rep
-}
-
-/// Compact commit-rate sparkline over the run's merged series.
-pub fn tps_sparkline(out: &ChaosOutcome, max_chars: usize) -> String {
-    sparkline(&out.series.rate_per_sec(Metric::Commits), max_chars)
 }

@@ -34,7 +34,9 @@ use dsmdb::Migrator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rdma_sim::{Endpoint, Fabric, NetworkProfile, Phase, UtilSnapshot, DEFAULT_WINDOW_NS};
-use telemetry::{heat_key_base_offset, heat_key_node, HealthSnapshot, MovePlan, SeriesSnapshot, HEAT_RANGE_BYTES};
+use telemetry::{heat_key_base_offset, heat_key_node, MovePlan, HEAT_RANGE_BYTES};
+
+use crate::TelemetrySnapshot;
 use txn::RecordTable;
 
 /// One heat run's knobs. `window_ns = 0` disables utilization capture
@@ -94,9 +96,9 @@ pub struct HeatOutcome {
     pub ops: u64,
     pub reads: u64,
     pub writes: u64,
-    pub util: UtilSnapshot,
-    pub series: SeriesSnapshot,
-    pub health: HealthSnapshot,
+    /// Endpoint planes merged across sessions; the utilization plane
+    /// carries occupancy stamps for every group.
+    pub telemetry: TelemetrySnapshot,
 }
 
 impl HeatBed {
@@ -194,23 +196,15 @@ pub fn drive(bed: &HeatBed, cfg: &HeatConfig) -> HeatOutcome {
         }
     }
     let makespan_ns = eps.iter().map(|e| e.clock().now_ns()).max().unwrap_or(0);
-    let mut util = crate::merged_utilization(&eps);
+    let mut telemetry = crate::merged(&eps);
     // Stamp occupancy for every group — including idle cold groups, so
     // the advisor sees them as move destinations.
     for g in 0..bed.layer.group_count() {
         let primary = bed.layer.group_primary(g);
         let stats = primary.alloc_stats();
-        util.stamp_occupancy(primary.id() as u64, stats.capacity, stats.allocated);
+        telemetry.utilization.stamp_occupancy(primary.id() as u64, stats.capacity, stats.allocated);
     }
-    HeatOutcome {
-        makespan_ns,
-        ops,
-        reads,
-        writes,
-        util,
-        series: crate::merged_series(&eps),
-        health: crate::merged_health(&eps),
-    }
+    HeatOutcome { makespan_ns, ops, reads, writes, telemetry }
 }
 
 /// Gini index over a snapshot's per-node remote bytes — the imbalance
@@ -301,11 +295,11 @@ mod tests {
         let cfg_hot = small(1.2, DEFAULT_WINDOW_NS);
         let uni = drive(&HeatBed::striped(&cfg_uni, 4), &cfg_uni);
         let hot = drive(&HeatBed::striped(&cfg_hot, 4), &cfg_hot);
+        let g_hot = measured_gini(&hot.telemetry.utilization);
+        let g_uni = measured_gini(&uni.telemetry.utilization);
         assert!(
-            measured_gini(&hot.util) > measured_gini(&uni.util) + 0.1,
-            "theta 1.2 gini {} must clearly exceed uniform gini {}",
-            measured_gini(&hot.util),
-            measured_gini(&uni.util)
+            g_hot > g_uni + 0.1,
+            "theta 1.2 gini {g_hot} must clearly exceed uniform gini {g_uni}"
         );
         // The hottest heat range is the base of node 0's extent — where
         // rank 0 lives under the range-partitioned key map.
@@ -313,7 +307,7 @@ mod tests {
         let out = drive(&bed, &cfg_hot);
         let a = bed.table.slot_addr(bed.key_of(0));
         let expect = telemetry::heat_key(a.node() as u64, a.offset());
-        assert_eq!(out.util.heat_bytes[0].key, expect);
+        assert_eq!(out.telemetry.utilization.heat_bytes[0].key, expect);
     }
 
     #[test]
@@ -324,7 +318,7 @@ mod tests {
         let off = drive(&HeatBed::striped(&off_cfg, 2), &off_cfg);
         assert_eq!(on.makespan_ns, off.makespan_ns, "utilization capture must be free");
         assert_eq!(on.ops, off.ops);
-        assert!(off.util.node_bytes().iter().all(|&(_, b)| b == 0));
+        assert!(off.telemetry.utilization.node_bytes().iter().all(|&(_, b)| b == 0));
     }
 
     #[test]
@@ -332,14 +326,14 @@ mod tests {
         let cfg = small(1.2, DEFAULT_WINDOW_NS);
         let bed = HeatBed::contiguous(&cfg, 3);
         let before = drive(&bed, &cfg);
-        let g_before = measured_gini(&before.util);
-        let plan = placement_advisor(&before.util, 8);
+        let g_before = measured_gini(&before.telemetry.utilization);
+        let plan = placement_advisor(&before.telemetry.utilization, 8);
         assert!(!plan.moves.is_empty(), "skewed contiguous bed must yield moves");
         assert!(plan.index_projected < plan.index_before);
         let (applied, bytes) = replay_move_plan(&bed, &plan);
         assert!(applied > 0 && bytes > 0);
         let after = drive(&bed, &cfg);
-        let g_after = measured_gini(&after.util);
+        let g_after = measured_gini(&after.telemetry.utilization);
         assert!(
             g_after < g_before,
             "replaying the move plan must shrink gini: before {g_before} after {g_after}"

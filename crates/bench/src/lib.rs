@@ -24,7 +24,6 @@ pub mod regression;
 pub mod reshard;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use dsmdb::{AbortCause, Cluster, Op, Session, TxnError};
 use rdma_sim::{
@@ -124,8 +123,94 @@ impl AbortCauses {
     }
 }
 
+/// Every mergeable telemetry plane of one run, folded across the
+/// sessions and endpoints that fed it. A harness that feeds one plane
+/// from an extra source (a health-only endpoint, say) merges into that
+/// plane's field directly.
+#[derive(Debug, Clone, Default)]
+pub struct TelemetrySnapshot {
+    /// End-to-end transaction latency distribution (virtual ns),
+    /// committed and aborted attempts alike.
+    pub latency: HistSnapshot,
+    /// Per-phase virtual-time/verb attribution.
+    pub phases: PhaseSnapshot,
+    /// Hot-key/wait-for/coherence contention profile.
+    pub contention: ContentionSnapshot,
+    /// Windowed time-series (commits, aborts by cause, verbs, cache,
+    /// locks).
+    pub series: SeriesSnapshot,
+    /// Gauge health plane (net deltas of sessions in flight, locks
+    /// held, pool occupancy, outstanding verbs, membership epoch).
+    pub health: HealthSnapshot,
+    /// Tail-latency forensics: blame-share histogram plus the worst-K
+    /// exemplar reservoir.
+    pub forensics: ForensicsSnapshot,
+    /// Fabric-utilization plane: per-memory-node windowed load,
+    /// page-range heat top-K, and session/phase splits.
+    pub utilization: UtilSnapshot,
+}
+
+impl TelemetrySnapshot {
+    /// The planes an endpoint records: contention, series, health and
+    /// utilization (each empty while its recorder is off).
+    pub(crate) fn of_endpoint(ep: &Endpoint) -> Self {
+        Self {
+            contention: ep.contention_snapshot(),
+            series: ep.series_snapshot(),
+            health: ep.health_snapshot(),
+            utilization: ep.utilization_snapshot(),
+            ..Self::default()
+        }
+    }
+
+    /// Everything a session recorded: its endpoint's planes plus
+    /// latency, phases and forensics.
+    pub(crate) fn of_session(s: &Session) -> Self {
+        Self {
+            latency: s.latency(),
+            phases: s.phases(),
+            forensics: s.forensics_snapshot(),
+            ..Self::of_endpoint(s.endpoint())
+        }
+    }
+
+    /// Compact sparkline of the windowed commit rate (empty when the
+    /// series was not recorded).
+    pub fn tps_sparkline(&self, max_chars: usize) -> String {
+        sparkline(&self.series.rate_per_sec(Metric::Commits), max_chars)
+    }
+
+    /// Replay the series and health planes through the online watchdog
+    /// with thresholds `cfg`; `samples` (`(virtual end ns, latency ns)`
+    /// per txn) feed the windowed-p99 rule. Empty when the series was
+    /// not recorded. The replay is deterministic bookkeeping over
+    /// closed windows, so it cannot change any measured number.
+    pub fn watchdog_log(
+        &self,
+        cfg: WatchdogConfig,
+        samples: Option<&[(u64, u64)]>,
+    ) -> Vec<AlertEvent> {
+        if self.series.is_empty() {
+            return Vec::new();
+        }
+        telemetry::watchdog::run_over(cfg, &self.series, Some(&self.health), samples)
+    }
+
+    /// Fold `o` in, plane by plane. Every plane's merge is associative
+    /// and commutative, so fold order never shows in the result.
+    pub fn merge(&mut self, o: &TelemetrySnapshot) {
+        self.latency.merge(&o.latency);
+        self.phases.merge(&o.phases);
+        self.contention.merge(&o.contention);
+        self.series.merge(&o.series);
+        self.health.merge(&o.health);
+        self.forensics.merge(&o.forensics);
+        self.utilization.merge(&o.utilization);
+    }
+}
+
 /// Outcome of a cluster workload run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkloadResult {
     /// Committed transactions across all sessions.
     pub commits: u64,
@@ -138,32 +223,12 @@ pub struct WorkloadResult {
     /// Round trips actually paid on the wire: verbs minus the ops that
     /// rode along in doorbell groups behind their leader.
     pub wire_round_trips: u64,
-    /// End-to-end transaction latency distribution (virtual ns), merged
-    /// across every session — committed and aborted attempts alike.
-    pub latency: HistSnapshot,
-    /// Per-phase virtual-time/verb attribution, merged across sessions.
-    pub phases: PhaseSnapshot,
-    /// Hot-key/wait-for/coherence contention profile, merged across
-    /// every session endpoint.
-    pub contention: ContentionSnapshot,
-    /// Windowed time-series (commits, aborts by cause, verbs, cache,
-    /// locks) merged across every session endpoint.
-    pub series: SeriesSnapshot,
-    /// Per-node health plane (gauge deltas: sessions in flight, locks
-    /// held, pool occupancy, outstanding verbs, membership epoch)
-    /// merged across every session endpoint.
-    pub health: HealthSnapshot,
     /// Concurrent sessions that fed the run (nodes x threads) — the
     /// watchdog's lock-wait budget denominator.
     pub sessions: u32,
-    /// Tail-latency forensics: blame-share histogram over every
-    /// transaction plus the worst-K exemplar reservoir, merged across
-    /// sessions.
-    pub forensics: ForensicsSnapshot,
-    /// Fabric-utilization plane: per-memory-node windowed load with
-    /// occupancy stamps, page-range heat top-K, and session/phase
-    /// splits, merged across every session endpoint.
-    pub utilization: UtilSnapshot,
+    /// Every telemetry plane merged across sessions; the utilization
+    /// plane carries occupancy stamps.
+    pub telemetry: TelemetrySnapshot,
 }
 
 impl WorkloadResult {
@@ -209,13 +274,19 @@ impl WorkloadResult {
     /// Transaction-latency percentile ladder `(p50, p95, p99, p999)`,
     /// virtual ns.
     pub fn latency_percentiles(&self) -> (u64, u64, u64, u64) {
-        self.latency.percentiles()
+        self.telemetry.latency.percentiles()
     }
 
-    /// Compact sparkline of the windowed commit rate (empty when the
-    /// series was not recorded).
-    pub fn tps_sparkline(&self, max_chars: usize) -> String {
-        sparkline(&self.series.rate_per_sec(Metric::Commits), max_chars)
+    /// Fold another session's result in: counts add, the makespan
+    /// takes the max.
+    fn merge(&mut self, o: &WorkloadResult) {
+        self.commits += o.commits;
+        self.aborts.merge(&o.aborts);
+        self.makespan_ns = self.makespan_ns.max(o.makespan_ns);
+        self.round_trips += o.round_trips;
+        self.wire_round_trips += o.wire_round_trips;
+        self.sessions += o.sessions;
+        self.telemetry.merge(&o.telemetry);
     }
 }
 
@@ -236,57 +307,32 @@ where
     let threads = cluster.config().threads_per_node;
     let total_workers = nodes * threads;
     let finished = AtomicUsize::new(0);
-    let commits = AtomicUsize::new(0);
-    let aborts = Mutex::new(AbortCauses::default());
-    let contention = Mutex::new(ContentionSnapshot::default());
-    let makespan = std::sync::atomic::AtomicU64::new(0);
-    let rts = std::sync::atomic::AtomicU64::new(0);
-    let wire_rts = std::sync::atomic::AtomicU64::new(0);
-    let latency = Mutex::new(HistSnapshot::empty());
-    let phases = Mutex::new(PhaseSnapshot::default());
-    let series = Mutex::new(SeriesSnapshot::empty());
-    let health = Mutex::new(HealthSnapshot::empty());
-    let forensics = Mutex::new(ForensicsSnapshot::empty());
-    let utilization = Mutex::new(UtilSnapshot::empty());
-    std::thread::scope(|sc| {
-        for n in 0..nodes {
-            for t in 0..threads {
+    let mut out = std::thread::scope(|sc| {
+        let workers: Vec<_> = (0..nodes)
+            .flat_map(|n| (0..threads).map(move |t| (n, t)))
+            .map(|(n, t)| {
                 let cluster = cluster.clone();
                 let gen = &gen;
                 let finished = &finished;
-                let commits = &commits;
-                let aborts = &aborts;
-                let contention = &contention;
-                let makespan = &makespan;
-                let rts = &rts;
-                let wire_rts = &wire_rts;
-                let latency = &latency;
-                let phases = &phases;
-                let series = &series;
-                let health = &health;
-                let forensics = &forensics;
-                let utilization = &utilization;
                 sc.spawn(move || {
                     let mut s: Session = cluster.session(n, t);
-                    s.endpoint().enable_timeseries(DEFAULT_WINDOW_NS);
-                    s.endpoint().enable_health(DEFAULT_WINDOW_NS);
-                    s.endpoint().enable_utilization(DEFAULT_WINDOW_NS);
+                    enable_series(std::slice::from_ref(s.endpoint()));
                     // Stable worker id (1-based; 0 = untagged) for the
                     // by-session heat split.
                     s.endpoint().set_util_session((n * threads + t + 1) as u64);
                     s.endpoint().enable_flight_recorder(WORKLOAD_TRACE_RING);
                     s.enable_forensics(config::exemplars());
-                    let mut my_aborts = AbortCauses::default();
+                    let mut mine = WorkloadResult { sessions: 1, ..WorkloadResult::default() };
                     for i in 0..txns_per_session {
                         let ops = gen(n, t, i);
                         loop {
                             match s.execute(&ops) {
                                 Ok(_) => {
-                                    commits.fetch_add(1, Ordering::Relaxed);
+                                    mine.commits += 1;
                                     break;
                                 }
                                 Err(e @ TxnError::Aborted(_)) => {
-                                    my_aborts.classify(&e);
+                                    mine.aborts.classify(&e);
                                     s.serve_pending(8);
                                     // Real-thread fairness: give the lock
                                     // holder a chance instead of spinning
@@ -304,54 +350,34 @@ where
                         }
                     }
                     s.serve_pending(usize::MAX >> 1);
-                    makespan.fetch_max(s.endpoint().clock().now_ns(), Ordering::Relaxed);
+                    mine.makespan_ns = s.endpoint().clock().now_ns();
                     let snap = s.endpoint().stats();
-                    rts.fetch_add(snap.round_trips(), Ordering::Relaxed);
-                    wire_rts.fetch_add(snap.wire_round_trips(), Ordering::Relaxed);
-                    latency.lock().unwrap().merge(&s.latency());
-                    phases.lock().unwrap().merge(&s.phases());
-                    aborts.lock().unwrap().merge(&my_aborts);
-                    contention
-                        .lock()
-                        .unwrap()
-                        .merge(&s.endpoint().contention_snapshot());
-                    series.lock().unwrap().merge(&s.endpoint().series_snapshot());
-                    health.lock().unwrap().merge(&s.endpoint().health_snapshot());
-                    forensics.lock().unwrap().merge(&s.forensics_snapshot());
-                    utilization
-                        .lock()
-                        .unwrap()
-                        .merge(&s.endpoint().utilization_snapshot());
-                });
-            }
+                    mine.round_trips = snap.round_trips();
+                    mine.wire_round_trips = snap.wire_round_trips();
+                    mine.telemetry = TelemetrySnapshot::of_session(&s);
+                    mine
+                })
+            })
+            .collect();
+        let mut out = WorkloadResult::default();
+        for w in workers {
+            out.merge(&w.join().expect("workload session panicked"));
         }
+        out
     });
     // Occupancy is allocator state, not fabric flow: stamp it onto the
     // merged snapshot from the layer that owns the memory nodes (cold
     // groups get idle tracks, which is what imbalance-over-occupancy
     // needs to see).
-    let mut utilization = utilization.into_inner().unwrap();
     let layer = cluster.layer();
     for g in 0..layer.group_count() {
         let primary = layer.group_primary(g);
         let stats = primary.alloc_stats();
-        utilization.stamp_occupancy(primary.id() as u64, stats.capacity, stats.allocated);
+        out.telemetry
+            .utilization
+            .stamp_occupancy(primary.id() as u64, stats.capacity, stats.allocated);
     }
-    WorkloadResult {
-        commits: commits.load(Ordering::Relaxed) as u64,
-        aborts: aborts.into_inner().unwrap(),
-        makespan_ns: makespan.load(Ordering::Relaxed),
-        round_trips: rts.load(Ordering::Relaxed),
-        wire_round_trips: wire_rts.load(Ordering::Relaxed),
-        latency: latency.into_inner().unwrap(),
-        phases: phases.into_inner().unwrap(),
-        contention: contention.into_inner().unwrap(),
-        series: series.into_inner().unwrap(),
-        health: health.into_inner().unwrap(),
-        sessions: total_workers as u32,
-        forensics: forensics.into_inner().unwrap(),
-        utilization,
-    }
+    out
 }
 
 /// Turn on windowed time-series sampling and gauge health (default
@@ -366,37 +392,16 @@ pub fn enable_series(eps: &[Endpoint]) {
     }
 }
 
-/// Merge the windowed series recorded by `eps` (for runs that drive
+/// Merge the telemetry planes recorded by `eps` (for runs that drive
 /// endpoints directly instead of going through
-/// [`run_cluster_workload`]).
-pub fn merged_series(eps: &[Endpoint]) -> SeriesSnapshot {
-    let mut s = SeriesSnapshot::empty();
+/// [`run_cluster_workload`]). Occupancy is not stamped here — callers
+/// that own the allocators stamp it onto the utilization plane.
+pub fn merged(eps: &[Endpoint]) -> TelemetrySnapshot {
+    let mut m = TelemetrySnapshot::default();
     for ep in eps {
-        s.merge(&ep.series_snapshot());
+        m.merge(&TelemetrySnapshot::of_endpoint(ep));
     }
-    s
-}
-
-/// Merge the gauge health planes recorded by `eps` (the companion of
-/// [`merged_series`] for endpoint-level runs).
-pub fn merged_health(eps: &[Endpoint]) -> HealthSnapshot {
-    let mut h = HealthSnapshot::empty();
-    for ep in eps {
-        h.merge(&ep.health_snapshot());
-    }
-    h
-}
-
-/// Merge the fabric-utilization planes recorded by `eps` (the third
-/// companion of [`merged_series`] for endpoint-level runs). Occupancy
-/// is not stamped here — callers that own the allocators stamp it onto
-/// the returned snapshot.
-pub fn merged_utilization(eps: &[Endpoint]) -> UtilSnapshot {
-    let mut u = UtilSnapshot::empty();
-    for ep in eps {
-        u.merge(&ep.utilization_snapshot());
-    }
-    u
+    m
 }
 
 /// Machine-readable experiment output: every `exp_*` binary builds a
@@ -415,7 +420,7 @@ pub mod report {
         utilization_from_json, utilization_json, Json, Report,
     };
 
-    use crate::{AbortCauses, AlertEvent, WatchdogConfig, WorkloadResult};
+    use crate::{AbortCauses, TelemetrySnapshot, WatchdogConfig, WorkloadResult};
 
     /// Where reports land: `$BENCH_RESULTS_DIR`, defaulting to
     /// `results/` under the current directory.
@@ -459,9 +464,9 @@ pub mod report {
             ("tps", Json::F(r.tps())),
             ("rts_per_txn", Json::F(r.rts_per_txn())),
             ("wire_rts_per_txn", Json::F(r.wire_rts_per_txn())),
-            ("latency", hist_json(&r.latency)),
-            ("phases", phases_json(&r.phases)),
-            ("contention", r.contention.to_json()),
+            ("latency", hist_json(&r.telemetry.latency)),
+            ("phases", phases_json(&r.telemetry.phases)),
+            ("contention", r.telemetry.contention.to_json()),
         ])
     }
 
@@ -473,75 +478,42 @@ pub mod report {
     /// time-series, health plane, watchdog alert log, and forensics as
     /// the report's schema-v3/v4 sections.
     pub fn standard_headline(rep: &mut Report, r: &WorkloadResult) {
-        let (p50, _p95, p99, p999) = r.latency.percentiles();
+        let t = &r.telemetry;
+        let (p50, _p95, p99, p999) = t.latency.percentiles();
         rep.headline("tps", Json::F(r.tps()));
         rep.headline("p50_ns", Json::U(p50));
         rep.headline("p99_ns", Json::U(p99));
         rep.headline("p999_ns", Json::U(p999));
-        rep.headline("max_ns", Json::U(r.latency.max()));
+        rep.headline("max_ns", Json::U(t.latency.max()));
         rep.headline("wire_rts_per_txn", Json::F(r.wire_rts_per_txn()));
-        rep.headline("phases", phases_json(&r.phases));
-        attach_timeseries(rep, r);
-        attach_live_plane(rep, r);
-        rep.forensics(forensics_json(&r.forensics));
-        rep.utilization(utilization_json(&r.utilization));
+        rep.headline("phases", phases_json(&t.phases));
+        attach_planes(rep, t, r.makespan_ns, r.sessions);
+        rep.forensics(forensics_json(&t.forensics));
+        rep.utilization(utilization_json(&t.utilization));
     }
 
-    /// Replay the flagship run through a default-threshold [`crate::Watchdog`]
-    /// and attach the health plane plus the resulting alert log. The
-    /// replay is deterministic bookkeeping over already-closed windows,
-    /// so this cannot change any measured number.
-    pub fn attach_live_plane(rep: &mut Report, r: &WorkloadResult) {
-        rep.health(health_json(&r.health));
-        rep.alerts(alerts_json(&standard_alerts(r)));
+    /// Attach a flagship run's windowed planes: the series (spanning
+    /// `makespan_ns`), the gauge health plane, and a default-threshold
+    /// watchdog replay over both, with `sessions` as the lock-wait
+    /// budget denominator. Flagship runs only: per-row series would
+    /// multiply report size without adding a claim.
+    pub fn attach_planes(rep: &mut Report, t: &TelemetrySnapshot, makespan_ns: u64, sessions: u32) {
+        let cfg = WatchdogConfig::new(t.series.window_ns, sessions);
+        rep.timeseries(series_json(&t.series, makespan_ns));
+        rep.health(health_json(&t.health));
+        rep.alerts(alerts_json(&t.watchdog_log(cfg, None)));
     }
 
-    /// The default-threshold watchdog log for one workload run (empty
-    /// when the series was not recorded).
-    pub fn standard_alerts(r: &WorkloadResult) -> Vec<AlertEvent> {
-        watchdog_replay(&r.series, &r.health, r.sessions)
-    }
-
-    /// Attach `r`'s windowed series as the report's `timeseries`
-    /// section (the flagship run only — per-row series would multiply
-    /// report size without adding a claim).
-    pub fn attach_timeseries(rep: &mut Report, r: &WorkloadResult) {
-        rep.timeseries(series_json(&r.series, r.makespan_ns));
-    }
-
-    /// Attach the merged series of an endpoint-level flagship run.
-    pub fn attach_endpoint_series(
+    /// [`attach_planes`] for an endpoint-level flagship run (one
+    /// "session" per endpoint), plus the merged utilization.
+    pub fn attach_endpoint_planes(
         rep: &mut Report,
         eps: &[rdma_sim::Endpoint],
         makespan_ns: u64,
     ) {
-        rep.timeseries(series_json(&crate::merged_series(eps), makespan_ns));
-    }
-
-    /// Attach the live plane of an endpoint-level flagship run: the
-    /// merged gauge health across `eps` plus a default-threshold
-    /// watchdog replay over the merged series (one "session" per
-    /// endpoint for the wait-budget denominator).
-    pub fn attach_endpoint_live_plane(rep: &mut Report, eps: &[rdma_sim::Endpoint]) {
-        let series = crate::merged_series(eps);
-        let health = crate::merged_health(eps);
-        rep.health(health_json(&health));
-        rep.alerts(alerts_json(&watchdog_replay(&series, &health, eps.len() as u32)));
-        rep.utilization(utilization_json(&crate::merged_utilization(eps)));
-    }
-
-    /// The default-threshold watchdog log over an already-recorded
-    /// series + health plane (empty when the series was not recorded).
-    pub fn watchdog_replay(
-        series: &rdma_sim::SeriesSnapshot,
-        health: &rdma_sim::HealthSnapshot,
-        sessions: u32,
-    ) -> Vec<AlertEvent> {
-        if series.is_empty() {
-            return Vec::new();
-        }
-        let cfg = WatchdogConfig::new(series.window_ns, sessions);
-        telemetry::watchdog::run_over(cfg, series, (!health.is_empty()).then_some(health), None)
+        let t = crate::merged(eps);
+        attach_planes(rep, &t, makespan_ns, eps.len() as u32);
+        rep.utilization(utilization_json(&t.utilization));
     }
 }
 
@@ -629,17 +601,18 @@ mod tests {
         assert!(r.makespan_ns > 0);
         assert!(r.tps() > 0.0);
         // The merged series must agree with the aggregate counters.
-        assert_eq!(r.series.total(Metric::Commits), r.commits);
-        assert_eq!(r.series.total(Metric::Aborts), r.aborts.total());
-        assert!(!r.tps_sparkline(24).is_empty());
+        let (series, health) = (&r.telemetry.series, &r.telemetry.health);
+        assert_eq!(series.total(Metric::Commits), r.commits);
+        assert_eq!(series.total(Metric::Aborts), r.aborts.total());
+        assert!(!r.telemetry.tps_sparkline(24).is_empty());
         // The health plane rode along: sessions entered and left, and
         // the cluster-level gauges return to zero at the end.
         assert_eq!(r.sessions, 2);
-        assert!(!r.health.is_empty());
-        assert_eq!(r.health.final_level(Gauge::SessionsInFlight), 0);
-        assert_eq!(r.health.final_level(Gauge::LocksHeld), 0);
-        assert!(r.health.min_level(Gauge::SessionsInFlight) >= 0);
-        assert!(r.health.max_level(Gauge::SessionsInFlight) >= 1);
+        assert!(!health.is_empty());
+        assert_eq!(health.final_level(Gauge::SessionsInFlight), 0);
+        assert_eq!(health.final_level(Gauge::LocksHeld), 0);
+        assert!(health.min_level(Gauge::SessionsInFlight) >= 0);
+        assert!(health.max_level(Gauge::SessionsInFlight) >= 1);
     }
 
     #[test]

@@ -27,14 +27,11 @@
 use dsmdb::{Architecture, CcProtocol, Cluster, ClusterConfig, Op, Session, TxnError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rdma_sim::{
-    ChromeTrace, ContentionSnapshot, HealthSnapshot, NetworkProfile, SeriesSnapshot,
-    DEFAULT_WINDOW_NS,
-};
+use rdma_sim::{ChromeTrace, NetworkProfile, DEFAULT_WINDOW_NS};
 use txn::locks::ExclusiveLock;
 use workload::ZipfGenerator;
 
-use crate::AbortCauses;
+use crate::{AbortCauses, TelemetrySnapshot};
 
 /// Lock-word tag the antagonist signs its holds with; far outside the
 /// session worker-tag range so wait-for edges name it unambiguously.
@@ -88,7 +85,7 @@ impl Default for ObsConfig {
 }
 
 /// Everything one observatory run measures.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ObsOutcome {
     /// Committed transactions.
     pub commits: u64,
@@ -96,25 +93,19 @@ pub struct ObsOutcome {
     pub aborts: AbortCauses,
     /// Max session virtual time, ns.
     pub makespan_ns: u64,
-    /// Merged contention profile across all sessions.
-    pub contention: ContentionSnapshot,
-    /// Hot keys: `(record key, wait ns)` for every lock word the top-K
-    /// sketch ranked, resolved back from lock addresses to record ids.
+    /// Telemetry merged across all sessions: contention always;
+    /// series and health unless `window_ns` is 0; forensics unless
+    /// `trace_ring` is 0.
+    pub telemetry: TelemetrySnapshot,
+    /// Hot keys: `(record key, wait ns)` for the lock words among the
+    /// merged top-K's first [`telemetry::contention::MERGED_TOP_K`],
+    /// resolved back from lock addresses to record ids.
     pub hot_keys: Vec<(u64, u64)>,
     /// Chrome trace of the run (empty when `trace_ring` is 0).
     pub trace: ChromeTrace,
-    /// Windowed time-series merged across sessions (empty when
-    /// `window_ns` is 0).
-    pub series: SeriesSnapshot,
-    /// Gauge health plane merged across sessions (empty when
-    /// `window_ns` is 0).
-    pub health: HealthSnapshot,
     /// Virtual instant of the antagonist's first squat (max session
     /// clock at the onset round), ns; 0 when it squats from round 0.
     pub t_antagonist_ns: u64,
-    /// Tail-latency forensics merged across sessions (empty when
-    /// `trace_ring` is 0).
-    pub forensics: crate::ForensicsSnapshot,
 }
 
 impl ObsOutcome {
@@ -162,18 +153,7 @@ pub fn run_observatory(cfg: &ObsConfig) -> ObsOutcome {
         }
     }
 
-    let mut out = ObsOutcome {
-        commits: 0,
-        aborts: AbortCauses::default(),
-        makespan_ns: 0,
-        contention: ContentionSnapshot::default(),
-        hot_keys: Vec::new(),
-        trace: ChromeTrace::new(),
-        series: SeriesSnapshot::empty(),
-        health: HealthSnapshot::empty(),
-        t_antagonist_ns: 0,
-        forensics: crate::ForensicsSnapshot::empty(),
-    };
+    let mut out = ObsOutcome::default();
 
     for round in 0..cfg.rounds {
         // From the onset round, the antagonist squats on one Zipf-hot
@@ -234,10 +214,7 @@ pub fn run_observatory(cfg: &ObsConfig) -> ObsOutcome {
         .unwrap_or(0);
     out.trace.name_process(0, "compute0");
     for (t, s) in sessions.iter().enumerate() {
-        out.contention.merge(&s.endpoint().contention_snapshot());
-        out.series.merge(&s.endpoint().series_snapshot());
-        out.health.merge(&s.endpoint().health_snapshot());
-        out.forensics.merge(&s.forensics_snapshot());
+        out.telemetry.merge(&TelemetrySnapshot::of_session(s));
         if cfg.trace_ring > 0 {
             out.trace.name_thread(0, t as u64 + 1, &format!("session{t}"));
             s.endpoint().export_chrome_trace(&mut out.trace, 0, t as u64 + 1);
@@ -252,9 +229,11 @@ pub fn run_observatory(cfg: &ObsConfig) -> ObsOutcome {
         by_addr.insert(table.payload_addr(k, 0).to_raw(), k);
     }
     out.hot_keys = out
+        .telemetry
         .contention
         .wait_top
         .iter()
+        .take(telemetry::contention::MERGED_TOP_K)
         .filter_map(|e| by_addr.get(&e.key).map(|&k| (k, e.count)))
         .collect();
     out
@@ -278,7 +257,7 @@ mod tests {
         assert_eq!(a.commits, b.commits);
         assert_eq!(a.aborts, b.aborts);
         assert_eq!(a.makespan_ns, b.makespan_ns);
-        assert_eq!(a.contention, b.contention);
+        assert_eq!(a.telemetry.contention, b.telemetry.contention);
         // The Chrome trace must be byte-identical, not merely similar.
         assert_eq!(a.trace.render(), b.trace.render());
         assert!(!a.trace.is_empty());
@@ -294,8 +273,8 @@ mod tests {
         assert_eq!(a.commits, b.commits);
         assert!(b.trace.is_empty() && !a.trace.is_empty());
         // Same zero-cost contract for the time-series sampler.
-        assert!(b.series.is_empty() && !a.series.is_empty());
-        assert_eq!(a.series.total(crate::Metric::Commits), a.commits);
+        assert!(b.telemetry.series.is_empty() && !a.telemetry.series.is_empty());
+        assert_eq!(a.telemetry.series.total(crate::Metric::Commits), a.commits);
     }
 
     #[test]
@@ -318,7 +297,8 @@ mod tests {
         });
         // Heavier skew ⇒ more lock-wait time overall, and the top key
         // holds a larger share of it.
-        assert!(skewed.contention.wait_ns_total > uniform.contention.wait_ns_total);
+        let wait_ns = |o: &ObsOutcome| o.telemetry.contention.wait_ns_total;
+        assert!(wait_ns(&skewed) > wait_ns(&uniform));
         assert!(!skewed.hot_keys.is_empty());
     }
 }

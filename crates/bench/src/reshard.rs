@@ -41,24 +41,21 @@ use dsmdb::{
     Architecture, CcProtocol, Cluster, ClusterConfig, MigrateError, MigrationState, Migrator,
     NodeStatus, Op, RecoveryOutcome, Session, TxnError,
 };
-use rdma_sim::{
-    HealthSnapshot, NetworkProfile, PhaseSnapshot, SeriesSnapshot, DEFAULT_WINDOW_NS,
-};
+use rdma_sim::{NetworkProfile, DEFAULT_WINDOW_NS};
 use telemetry::analysis;
-use telemetry::watchdog::{run_over, windowed_p99};
 use telemetry::RecoveryFacts;
-use txn::locks::LeaseLock;
 
-use crate::chaos::{scenarios, WindowStats};
+use crate::chaos::{audit, max_clock, scenarios, splitmix64, WindowStats};
 use crate::report::{
     abort_causes_json, alerts_json, health_json, series_json, Json, Report,
 };
-use crate::{sparkline, AbortCauses, AlertEvent, Metric, WatchdogConfig};
+use crate::{AbortCauses, AlertEvent, Metric, TelemetrySnapshot, WatchdogConfig};
 
 /// Which fault the timeline injects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Scenario {
     /// No fault: measure the migration tax alone.
+    #[default]
     Clean,
     /// Source primary dies mid-copy; mirror failover carries both the
     /// copier and degraded reads until the rebuild.
@@ -145,7 +142,7 @@ impl ReshardConfig {
 }
 
 /// Everything one scenario run measures.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ReshardOutcome {
     /// Which fault ran.
     pub scenario: Scenario,
@@ -197,33 +194,11 @@ pub struct ReshardOutcome {
     /// difference is copier traffic + dual writes + old-home routing —
     /// so this isolates the migration from the capacity the join added.
     pub migration_tax: f64,
-    /// Merged per-phase attribution across all sessions.
-    pub phases: PhaseSnapshot,
-    /// Windowed time-series merged across all endpoints.
-    pub series: SeriesSnapshot,
-    /// Gauge health plane merged across all endpoints.
-    pub health: HealthSnapshot,
+    /// Telemetry merged across all sessions; the health plane also
+    /// folds in the coordinator, recovery and leave endpoints.
+    pub telemetry: TelemetrySnapshot,
     /// `(virtual completion ns, latency ns)` per transaction.
     pub latency_samples: Vec<(u64, u64)>,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-fn lease_expired(now_us: u32, expiry_us: u32) -> bool {
-    now_us.wrapping_sub(expiry_us) < (1 << 31)
-}
-
-fn max_clock(sessions: &[Session]) -> u64 {
-    sessions
-        .iter()
-        .map(|s| s.endpoint().clock().now_ns())
-        .max()
-        .unwrap_or(0)
 }
 
 fn fleet_clock(core: &[Session], joiners: &[Session]) -> u64 {
@@ -339,37 +314,8 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
     let mut model: Vec<i64> = vec![0; cfg.records as usize];
     let mut out = ReshardOutcome {
         scenario,
-        pre: WindowStats::default(),
-        migrate: WindowStats::default(),
-        settle: WindowStats::default(),
-        post: WindowStats::default(),
-        aborts: AbortCauses::default(),
-        migrated_bytes: 0,
-        dual_reads_checked: 0,
-        divergent_dual_reads: 0,
-        lost_writes: 0,
-        stuck_locks: 0,
-        janitor_reclaims: 0,
-        fenced_commits: 0,
-        steals: 0,
-        final_state: MigrationState::Idle,
-        final_epoch: 0,
-        t_begin_ns: 0,
-        t_fault_ns: 0,
-        t_flip_ns: 0,
-        recovery: RecoveryFacts {
-            baseline_tps: 0.0,
-            dip_tps: 0.0,
-            dip_depth: 0.0,
-            time_to_detection_ns: None,
-            time_to_recovery_ns: None,
-        },
-        recovered_tps_ratio: 0.0,
-        migration_tax: 0.0,
-        phases: PhaseSnapshot::default(),
-        series: SeriesSnapshot::empty(),
-        health: HealthSnapshot::empty(),
         latency_samples: Vec::with_capacity(cfg.sessions * cfg.rounds * 2),
+        ..Default::default()
     };
 
     let mut drive = Drive::Idle;
@@ -455,7 +401,7 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
                     layer
                         .recover_member_from_mirror(&rec, 0, 0)
                         .expect("rebuild source member");
-                    out.health.merge(&rec.health_snapshot());
+                    out.telemetry.health.merge(&rec.health_snapshot());
                 }
                 Scenario::CrashDest => {
                     let rec = fabric.endpoint();
@@ -466,7 +412,7 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
                     layer
                         .recover_member_from_mirror(&rec, dst_group, 0)
                         .expect("rebuild dest member");
-                    out.health.merge(&rec.health_snapshot());
+                    out.telemetry.health.merge(&rec.health_snapshot());
                     // Re-run the migration; the bigger unthrottled cap
                     // still lands the flip before the leave.
                     migrator
@@ -508,7 +454,7 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
                 s.refresh_epoch().expect("epoch refresh");
             }
             epoch = new_epoch;
-            out.health.merge(&rec.health_snapshot());
+            out.telemetry.health.merge(&rec.health_snapshot());
             migrator
                 .begin(&coord, dst_group, 0, cfg.records, epoch)
                 .expect("re-begin under new epoch");
@@ -620,11 +566,9 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
                 .expect("joiner down");
             for s in joiners.drain(..) {
                 out.steals += s.lock_steals();
-                out.phases.merge(&s.phases());
-                out.series.merge(&s.endpoint().series_snapshot());
-                out.health.merge(&s.endpoint().health_snapshot());
+                out.telemetry.merge(&TelemetrySnapshot::of_session(&s));
             }
-            out.health.merge(&leave_ep.health_snapshot());
+            out.telemetry.health.merge(&leave_ep.health_snapshot());
         }
 
         // --- One workload round ---------------------------------------
@@ -712,11 +656,9 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
     };
     for s in &core {
         out.steals += s.lock_steals();
-        out.phases.merge(&s.phases());
-        out.series.merge(&s.endpoint().series_snapshot());
-        out.health.merge(&s.endpoint().health_snapshot());
+        out.telemetry.merge(&TelemetrySnapshot::of_session(s));
     }
-    out.health.merge(&coord.health_snapshot());
+    out.telemetry.health.merge(&coord.health_snapshot());
     drop(core);
 
     // The disturbance the recovery story is measured around: the fault
@@ -725,9 +667,9 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
     // run has three session-count regimes, and windows from another
     // regime would poison both the baseline and the recovery scan.
     let t_disturb = if out.t_fault_ns > 0 { out.t_fault_ns } else { out.t_begin_ns };
-    if !out.series.is_empty() {
+    if !out.telemetry.series.is_empty() {
         out.recovery = analysis::recovery_facts_between(
-            &out.series,
+            &out.telemetry.series,
             t_disturb,
             0.9,
             out.t_begin_ns,
@@ -735,38 +677,9 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
         );
     }
 
-    // --- Audit 1: no committed write lost ----------------------------
-    let audit = fabric.endpoint();
-    let mut buf = vec![0u8; cfg.payload];
-    for k in 0..cfg.records {
-        layer
-            .read(&audit, table.payload_addr(k, 0), &mut buf)
-            .expect("post-flip read");
-        let v = i64::from_le_bytes(buf[0..8].try_into().unwrap());
-        if v != model[k as usize] {
-            out.lost_writes += 1;
-        }
-    }
-
-    // --- Audit 2: no lock held forever (at the NEW home) -------------
-    audit.charge_local(t_end.saturating_sub(audit.clock().now_ns()));
-    for k in 0..cfg.records {
-        let word = layer.read_u64(&audit, table.lock_addr(k)).expect("lock read");
-        if word == 0 {
-            continue;
-        }
-        let (_, _, expiry_us) = LeaseLock::decode(word);
-        let now_us = (audit.clock().now_ns() / 1_000) as u32;
-        if !lease_expired(now_us, expiry_us) {
-            out.stuck_locks += 1;
-            continue;
-        }
-        let token = LeaseLock::acquire(&layer, &audit, table.lock_addr(k), 998, 1, cfg.lease_ns, 4)
-            .expect("expired lease must be stealable");
-        LeaseLock::release(&layer, &audit, table.lock_addr(k), token)
-            .expect("janitor owns the word it installed");
-        out.janitor_reclaims += 1;
-    }
+    // The lock audit runs at the NEW home: the flip moved the words.
+    (out.lost_writes, out.stuck_locks, out.janitor_reclaims) =
+        audit(&cluster, &model, cfg.payload, cfg.lease_ns, t_end);
     out
 }
 
@@ -774,13 +687,8 @@ pub fn run_reshard(cfg: &ReshardConfig, scenario: Scenario) -> ReshardOutcome {
 /// windows, gauge levels — including `MigrationInFlight` — and exact
 /// windowed p99s). Deterministic over closed windows.
 pub fn watchdog_log(cfg: &ReshardConfig, out: &ReshardOutcome) -> Vec<AlertEvent> {
-    if out.series.is_empty() {
-        return Vec::new();
-    }
-    let p99s = windowed_p99(&out.latency_samples, out.series.window_ns, out.series.len());
     let wd = WatchdogConfig::new(cfg.window_ns, (cfg.sessions * 2) as u32);
-    let health = (!out.health.is_empty()).then_some(&out.health);
-    run_over(wd, &out.series, health, Some(&p99s))
+    out.telemetry.watchdog_log(wd, Some(&out.latency_samples))
 }
 
 /// Build the E1 report over all scenario outcomes (shared by the binary
@@ -834,10 +742,10 @@ pub fn report_for(cfg: &ReshardConfig, outs: &[ReshardOutcome]) -> Report {
     let clean = outs.iter().find(|o| o.scenario == Scenario::Clean);
     let crash = outs.iter().find(|o| o.scenario == Scenario::CrashSource);
     if let Some(c) = clean {
-        if !c.series.is_empty() {
-            rep.timeseries(series_json(&c.series, c.post.end_ns));
+        if !c.telemetry.series.is_empty() {
+            rep.timeseries(series_json(&c.telemetry.series, c.post.end_ns));
         }
-        rep.health(health_json(&c.health));
+        rep.health(health_json(&c.telemetry.health));
         rep.alerts(alerts_json(&watchdog_log(cfg, c)));
         rep.headline("pre_tps", Json::F(c.pre.tps()));
         rep.headline("migrate_tps", Json::F(c.migrate.tps()));
@@ -859,9 +767,4 @@ pub fn report_for(cfg: &ReshardConfig, outs: &[ReshardOutcome]) -> Report {
     rep.headline("stuck_locks", Json::U(stuck));
     rep.headline("divergent_dual_reads", Json::U(divergent));
     rep
-}
-
-/// Compact commit-rate sparkline over one scenario's merged series.
-pub fn tps_sparkline(out: &ReshardOutcome, max_chars: usize) -> String {
-    sparkline(&out.series.rate_per_sec(Metric::Commits), max_chars)
 }

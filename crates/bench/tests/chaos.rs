@@ -55,7 +55,7 @@ fn assert_invariants(out: &ChaosOutcome) {
     // The recovery story comes from the windowed series: the crash must
     // have been detected there, and the dip the analysis found must be
     // consistent with the segment tallies.
-    assert!(!out.series.is_empty(), "series sampling was off");
+    assert!(!out.telemetry.series.is_empty(), "series sampling was off");
     assert!(out.recovery.time_to_detection_ns.is_some(), "dip never detected");
     assert!(out.recovery.dip_depth > 0.0, "analysis saw no dip");
     assert!(

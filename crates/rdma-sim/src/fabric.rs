@@ -1556,6 +1556,25 @@ mod tests {
     }
 
     #[test]
+    fn watchdog_replays_a_health_plane_coarser_than_the_series() {
+        use telemetry::watchdog::{run_over, WatchdogConfig};
+        let fabric = Fabric::new(NetworkProfile::rdma_cx6());
+        let node = fabric.register_node(64);
+        let ep = fabric.endpoint();
+        ep.enable_timeseries(100);
+        ep.enable_health(100);
+        ep.read_u64(node, 0).unwrap();
+        // Only the gauge plane sees an event past MAX_WINDOWS windows,
+        // so it doubles its width while the series keeps the base one.
+        ep.charge_local(100 * 517);
+        ep.gauge_add(Gauge::LocksHeld, 1);
+        let (series, health) = (ep.series_snapshot(), ep.health_snapshot());
+        assert_eq!((series.window_ns, health.window_ns), (100, 200));
+        let cfg = WatchdogConfig::new(series.window_ns, 1);
+        assert!(run_over(cfg, &series, Some(&health), None).is_empty());
+    }
+
+    #[test]
     fn utilization_is_free_in_virtual_time_and_attributes_load() {
         let run = |capture: bool| {
             let fabric = Fabric::new(NetworkProfile::rdma_cx6());

@@ -19,7 +19,7 @@ use crate::json::Json;
 use crate::timeseries::{Metric, SeriesSnapshot};
 
 /// Recovery facts computed from a series around one fault instant.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RecoveryFacts {
     /// Mean commit rate over the complete windows before the fault,
     /// commits per virtual second.

@@ -111,26 +111,25 @@ impl TopK {
     }
 }
 
-/// Merge top-K snapshots from many endpoints into one ranked list of at
-/// most `cap` entries. Order-independent: entries are folded through a
-/// `BTreeMap` (counts and errors sum per key) before re-ranking, so the
-/// merge result does not depend on thread completion order.
-pub fn merge_top(lists: &[Vec<TopEntry>], cap: usize) -> Vec<TopEntry> {
+/// Fold the ranked list `other` into `into` — the one merge every top-K
+/// plane uses. Counts and errors sum per key through a `BTreeMap`, then
+/// the list is re-ranked (count desc, key asc), so the result does not
+/// depend on fold order. The union of keys is kept: cutting to a top-K
+/// on every pairwise fold would make a many-way merge order-dependent
+/// (a key evicted early could not regain rank later), so merged lists
+/// stay whole and renders take the first [`MERGED_TOP_K`].
+pub(crate) fn fold_top(into: &mut Vec<TopEntry>, other: &[TopEntry]) {
     let mut by_key: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-    for list in lists {
-        for e in list {
-            let slot = by_key.entry(e.key).or_insert((0, 0));
-            slot.0 += e.count;
-            slot.1 += e.err;
-        }
+    for e in into.iter().chain(other) {
+        let slot = by_key.entry(e.key).or_insert((0, 0));
+        slot.0 += e.count;
+        slot.1 += e.err;
     }
-    let mut v: Vec<TopEntry> = by_key
+    *into = by_key
         .into_iter()
         .map(|(key, (count, err))| TopEntry { key, count, err })
         .collect();
-    v.sort_by(|a, b| b.count.cmp(&a.count).then(a.key.cmp(&b.key)));
-    v.truncate(cap);
-    v
+    into.sort_by(|a, b| b.count.cmp(&a.count).then(a.key.cmp(&b.key)));
 }
 
 /// One observed lock wait: `waiter` failed to acquire `addr` because
@@ -257,20 +256,15 @@ pub struct ContentionSnapshot {
     pub edges_dropped: u64,
 }
 
-/// How many ranked entries survive a merge (and reach the JSON report).
+/// How many ranked entries of a merged list reach the JSON report.
 pub const MERGED_TOP_K: usize = 16;
 
 impl ContentionSnapshot {
-    /// Fold another snapshot in. Order-independent.
+    /// Fold another snapshot in. Order-independent: the ranked lists
+    /// keep their union (`fold_top`).
     pub fn merge(&mut self, other: &ContentionSnapshot) {
-        self.wait_top = merge_top(
-            &[std::mem::take(&mut self.wait_top), other.wait_top.clone()],
-            MERGED_TOP_K,
-        );
-        self.cas_top = merge_top(
-            &[std::mem::take(&mut self.cas_top), other.cas_top.clone()],
-            MERGED_TOP_K,
-        );
+        fold_top(&mut self.wait_top, &other.wait_top);
+        fold_top(&mut self.cas_top, &other.cas_top);
         self.edges.extend_from_slice(&other.edges);
         self.edges.sort();
         self.edges.dedup();
@@ -291,6 +285,7 @@ impl ContentionSnapshot {
         let top = |list: &[TopEntry]| {
             Json::A(
                 list.iter()
+                    .take(MERGED_TOP_K)
                     .map(|e| {
                         Json::obj(vec![
                             ("key", Json::U(e.key)),
@@ -416,8 +411,10 @@ mod tests {
             a.offer(i % 5, i);
             b.offer(i % 3, 1);
         }
-        let ab = merge_top(&[a.snapshot(), b.snapshot()], 4);
-        let ba = merge_top(&[b.snapshot(), a.snapshot()], 4);
+        let mut ab = a.snapshot();
+        fold_top(&mut ab, &b.snapshot());
+        let mut ba = b.snapshot();
+        fold_top(&mut ba, &a.snapshot());
         assert_eq!(ab, ba);
     }
 
@@ -481,5 +478,34 @@ mod tests {
         assert_eq!(ab.to_json().render(), ba.to_json().render());
         assert_eq!(ab.inval_max_fanout, 2);
         assert_eq!(ab.wait_ns_total, 300);
+
+        // Three-way fold over lists longer than MERGED_TOP_K: keys 1..=16
+        // at 100 plus key 99 at 50 rank 99 just outside the cut, so a
+        // merge that truncated per fold would drop it in one order and
+        // keep it in the other.
+        let list = |entries: &[(u64, u64)]| ContentionSnapshot {
+            wait_top: entries.iter().map(|&(key, count)| TopEntry { key, count, err: 0 }).collect(),
+            ..ContentionSnapshot::default()
+        };
+        let mut big: Vec<(u64, u64)> = (1..=16).map(|k| (k, 100)).collect();
+        big.push((99, 50));
+        let (a, b, c) = (list(&big), list(&[(1, 1)]), list(&[(99, 200)]));
+        let mut abc = a.clone();
+        abc.merge(&b);
+        abc.merge(&c);
+        let mut acb = a.clone();
+        acb.merge(&c);
+        acb.merge(&b);
+        let mut bca = b.clone();
+        bca.merge(&c);
+        bca.merge(&a);
+        assert_eq!(abc, acb);
+        assert_eq!(abc, bca);
+        assert_eq!(abc.wait_top[0], TopEntry { key: 99, count: 250, err: 0 });
+        assert_eq!(abc.wait_top.len(), 17, "merge keeps the union");
+        let rendered = abc.to_json();
+        let top = rendered.get("top_wait_ns").and_then(|t| t.as_array()).unwrap();
+        assert_eq!(top.len(), MERGED_TOP_K, "the render takes the first MERGED_TOP_K");
+        assert_eq!(acb.to_json().render(), rendered.render());
     }
 }

@@ -18,6 +18,9 @@
 //!   nanoseconds *and* verbs/wire-RTs to the innermost open phase — a
 //!   per-transaction flamegraph as a table. No atomics, no heap per
 //!   record.
+//! * [`window`] — the one windowing primitive: fixed-width
+//!   virtual-time windows, width doubling past [`MAX_WINDOWS`], and the
+//!   LCM-aligned, order-free merge every windowed plane below shares.
 //! * [`timeseries::SeriesRecorder`] — named counters sampled into
 //!   fixed-width virtual-time windows (commits, aborts by cause, verbs,
 //!   wire RTs, cache hits, lock waits/steals, epoch bumps) with an
@@ -62,6 +65,7 @@ pub mod timeseries;
 pub mod trace;
 pub mod utilization;
 pub mod watchdog;
+pub mod window;
 
 pub use analysis::{
     gini, max_mean_ratio, move_plan_from_json, move_plan_json, placement_advisor, sparkline,
@@ -69,7 +73,7 @@ pub use analysis::{
 };
 pub use live::{Gauge, GaugeRecorder, HealthSnapshot, GAUGES};
 pub use contention::{
-    merge_top, wait_for_analysis, ContentionSnapshot, TopEntry, TopK, WaitEdge, WaitForSummary,
+    wait_for_analysis, ContentionSnapshot, TopEntry, TopK, WaitEdge, WaitForSummary,
 };
 pub use forensics::{
     blame_name, blame_of, extract, forensics_from_json, forensics_json, Blame, ForensicsCollector,

@@ -21,13 +21,12 @@
 //! timestamp and never advances any clock: a run with gauges on and off
 //! produces the identical timeline (asserted by `exp_o3_watchdog`).
 //!
-//! Width handling mirrors [`crate::timeseries::SeriesRecorder`]: a
-//! recorder doubles its window width (pairwise coalesce — exact,
-//! because net deltas are additive) whenever the run outgrows
-//! [`MAX_WINDOWS`].
+//! Width handling is [`crate::window`]'s, shared with the counter
+//! series: doubling folds adjacent windows, which is exact because net
+//! deltas are additive.
 
-use crate::timeseries::MAX_WINDOWS;
-use std::cell::{Cell, RefCell};
+use crate::window::{Recorder, Windowed};
+use std::cell::Cell;
 
 /// Number of tracked gauges (length of a gauge window vector).
 pub const GAUGES: usize = 7;
@@ -82,20 +81,16 @@ impl Gauge {
     }
 }
 
+/// One gauge window: net signed deltas indexed by [`Gauge`].
 type GaugeWindow = [i64; GAUGES];
 
-const ZERO_GAUGES: GaugeWindow = [0; GAUGES];
-
-/// Per-thread gauge collector. Disabled (width 0) until
+/// Per-thread gauge collector: a [`crate::window`] recorder of net
+/// deltas plus the running levels. Disabled (width 0) until
 /// [`GaugeRecorder::enable`]; recording while disabled is a no-op, so
 /// instrumented layers can call unconditionally.
 #[derive(Debug, Default)]
 pub struct GaugeRecorder {
-    /// Configured window width; restored by [`GaugeRecorder::clear`].
-    base_width_ns: Cell<u64>,
-    /// Current width (doubles when a run outgrows [`MAX_WINDOWS`]).
-    width_ns: Cell<u64>,
-    windows: RefCell<Vec<GaugeWindow>>,
+    windows: Recorder<GaugeWindow>,
     /// Running levels (sum of all deltas recorded since enable).
     levels: Cell<GaugeWindow>,
 }
@@ -109,15 +104,14 @@ impl GaugeRecorder {
     /// Turn sampling on with `width_ns`-wide windows (0 turns it off).
     /// Drops any previously recorded windows and zeroes the levels.
     pub fn enable(&self, width_ns: u64) {
-        self.base_width_ns.set(width_ns);
-        self.width_ns.set(width_ns);
-        self.windows.borrow_mut().clear();
-        self.levels.set(ZERO_GAUGES);
+        self.windows.enable(width_ns);
+        self.levels.set([0; GAUGES]);
     }
 
     /// Whether sampling is on.
+    #[inline]
     pub fn enabled(&self) -> bool {
-        self.width_ns.get() != 0
+        self.windows.enabled()
     }
 
     /// Current level of `gauge` (sum of recorded deltas).
@@ -129,103 +123,36 @@ impl GaugeRecorder {
     /// time `now_ns`. Never advances any clock.
     #[inline]
     pub fn add(&self, now_ns: u64, gauge: Gauge, delta: i64) {
-        let width = self.width_ns.get();
-        if width == 0 || delta == 0 {
-            return;
+        if delta != 0 {
+            self.windows.record(now_ns, |w| {
+                w[gauge as usize] += delta;
+                let mut levels = self.levels.get();
+                levels[gauge as usize] += delta;
+                self.levels.set(levels);
+            });
         }
-        let mut levels = self.levels.get();
-        levels[gauge as usize] += delta;
-        self.levels.set(levels);
-        let mut idx = (now_ns / width) as usize;
-        if idx >= MAX_WINDOWS {
-            self.coalesce_until(now_ns, &mut idx);
-        }
-        let mut windows = self.windows.borrow_mut();
-        if windows.len() <= idx {
-            windows.resize(idx + 1, ZERO_GAUGES);
-        }
-        windows[idx][gauge as usize] += delta;
-    }
-
-    /// Double the window width (summing adjacent pairs of net deltas)
-    /// until `now_ns` fits under [`MAX_WINDOWS`]. Exact: a net delta
-    /// stays inside the coarser window containing its timestamp.
-    fn coalesce_until(&self, now_ns: u64, idx: &mut usize) {
-        let mut windows = self.windows.borrow_mut();
-        let mut width = self.width_ns.get();
-        while (now_ns / width) as usize >= MAX_WINDOWS {
-            width *= 2;
-            let half = windows.len().div_ceil(2);
-            for i in 0..half {
-                let mut merged = windows[2 * i];
-                if let Some(odd) = windows.get(2 * i + 1) {
-                    for (dst, src) in merged.iter_mut().zip(odd.iter()) {
-                        *dst += src;
-                    }
-                }
-                windows[i] = merged;
-            }
-            windows.truncate(half);
-        }
-        self.width_ns.set(width);
-        *idx = (now_ns / width) as usize;
     }
 
     /// Drop all windows, zero the levels, restore the base width.
     pub fn clear(&self) {
-        self.width_ns.set(self.base_width_ns.get());
-        self.windows.borrow_mut().clear();
-        self.levels.set(ZERO_GAUGES);
+        self.windows.clear();
+        self.levels.set([0; GAUGES]);
     }
 
     /// Copy out the recorded health series (empty when disabled).
     pub fn snapshot(&self) -> HealthSnapshot {
-        HealthSnapshot {
-            window_ns: self.width_ns.get(),
-            windows: self.windows.borrow().clone(),
-        }
+        self.windows.snapshot()
     }
 }
 
 /// An immutable windowed gauge series (net deltas per window); the
-/// mergeable per-node health result.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HealthSnapshot {
-    /// Window width, virtual ns (0 only for the empty snapshot).
-    pub window_ns: u64,
-    /// Contiguous windows from virtual time 0; entry `i` holds the net
-    /// signed gauge changes inside `[i*window_ns, (i+1)*window_ns)`.
-    pub windows: Vec<[i64; GAUGES]>,
-}
+/// mergeable per-node health result. Entry `i` holds the net signed
+/// gauge changes inside `[i*window_ns, (i+1)*window_ns)`; merging adds
+/// them, so levels of the merged snapshot are the sums of per-node
+/// levels.
+pub type HealthSnapshot = Windowed<GaugeWindow>;
 
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
-}
-
-impl HealthSnapshot {
-    /// The identity for [`HealthSnapshot::merge`].
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
-    /// No windows recorded.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
-    }
-
-    /// Number of windows.
-    pub fn len(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// Start of window `i`, virtual ns.
-    pub fn window_start_ns(&self, i: usize) -> u64 {
-        i as u64 * self.window_ns
-    }
-
+impl Windowed<GaugeWindow> {
     /// Net change of `gauge` inside window `i`.
     pub fn delta(&self, i: usize, gauge: Gauge) -> i64 {
         self.windows[i][gauge as usize]
@@ -264,58 +191,6 @@ impl HealthSnapshot {
         self.levels(gauge).into_iter().max().unwrap_or(0)
     }
 
-    /// Re-bucket to `new_width` (must be a multiple of the current
-    /// width). Exact: net deltas only move into the coarser window
-    /// already containing their original one.
-    pub fn coarsen_to(&mut self, new_width: u64) {
-        if self.window_ns == new_width || self.is_empty() {
-            self.window_ns = new_width.max(self.window_ns);
-            return;
-        }
-        assert!(
-            new_width.is_multiple_of(self.window_ns),
-            "coarsen_to({new_width}) not a multiple of {}",
-            self.window_ns
-        );
-        let f = (new_width / self.window_ns) as usize;
-        let coarse_len = self.windows.len().div_ceil(f);
-        let mut coarse = vec![ZERO_GAUGES; coarse_len];
-        for (i, w) in self.windows.iter().enumerate() {
-            let dst = &mut coarse[i / f];
-            for (d, s) in dst.iter_mut().zip(w.iter()) {
-                *d += s;
-            }
-        }
-        self.windows = coarse;
-        self.window_ns = new_width;
-    }
-
-    /// Fold `other` into `self`. Widths are aligned to their least
-    /// common multiple first; adding net deltas per window is exactly
-    /// the cross-node health merge (levels of the merged snapshot are
-    /// the sums of per-node levels), associative and commutative.
-    pub fn merge(&mut self, other: &HealthSnapshot) {
-        if other.is_empty() {
-            return;
-        }
-        if self.is_empty() {
-            *self = other.clone();
-            return;
-        }
-        let target = self.window_ns / gcd(self.window_ns, other.window_ns) * other.window_ns;
-        self.coarsen_to(target);
-        let mut o = other.clone();
-        o.coarsen_to(target);
-        if self.windows.len() < o.windows.len() {
-            self.windows.resize(o.windows.len(), ZERO_GAUGES);
-        }
-        for (dst, src) in self.windows.iter_mut().zip(o.windows.iter()) {
-            for (d, s) in dst.iter_mut().zip(src.iter()) {
-                *d += s;
-            }
-        }
-    }
-
     /// The incremental delta from an earlier snapshot `prev` of the
     /// same recorder to `self`: a snapshot such that
     /// `prev.merge(&delta) == self`. This is the wire encoding a node
@@ -343,6 +218,7 @@ impl HealthSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::MAX_WINDOWS;
 
     #[test]
     fn disabled_recorder_records_nothing() {

@@ -17,6 +17,7 @@ use crate::live::{Gauge, HealthSnapshot};
 use crate::span::{bucket_name, PhaseSnapshot, OTHER_BUCKET};
 use crate::timeseries::{Metric, SeriesSnapshot};
 use crate::watchdog::{AlertEvent, AlertKind, AlertState};
+use crate::window::Windowed;
 
 /// Schema version stamped into every report, bumped on breaking changes.
 /// v2: every report carries a top-level `timeseries` section
@@ -256,22 +257,35 @@ pub fn series_json(s: &SeriesSnapshot, makespan_ns: u64) -> Json {
 /// the read side of [`series_json`], used by tests and validators that
 /// re-run the analysis over committed reports.
 pub fn series_from_json(section: &Json) -> Option<SeriesSnapshot> {
+    let column = |name: &str| Metric::from_name(name).map(|m| m as usize);
+    windows_from_json(section, "metrics", column, Json::as_u64)
+}
+
+/// The shared read side of the windowed sections: `section[columns]`
+/// maps column names to per-window arrays of `window_ns`/`windows`
+/// geometry; columns the section omits stay zero.
+fn windows_from_json<T: Copy + Default, const N: usize>(
+    section: &Json,
+    columns: &str,
+    column: impl Fn(&str) -> Option<usize>,
+    value: impl Fn(&Json) -> Option<T>,
+) -> Option<Windowed<[T; N]>> {
     let window_ns = section.get("window_ns")?.as_u64()?;
     let n = section.get("windows")?.as_u64()? as usize;
-    let mut windows = vec![[0u64; crate::timeseries::METRICS]; n];
-    if let Some(Json::O(members)) = section.get("metrics") {
+    let mut windows = vec![[T::default(); N]; n];
+    if let Some(Json::O(members)) = section.get(columns) {
         for (name, arr) in members {
-            let m = Metric::from_name(name)?;
-            let counts = arr.as_array()?;
-            if counts.len() != n {
+            let col = column(name)?;
+            let values = arr.as_array()?;
+            if values.len() != n {
                 return None;
             }
-            for (i, c) in counts.iter().enumerate() {
-                windows[i][m as usize] = c.as_u64()?;
+            for (w, v) in windows.iter_mut().zip(values) {
+                w[col] = value(v)?;
             }
         }
     }
-    Some(SeriesSnapshot { window_ns, windows })
+    Some(Windowed { window_ns, windows })
 }
 
 /// Merged gauge plane → the report `health` section. Emits the window
@@ -311,22 +325,8 @@ pub fn health_json(h: &HealthSnapshot) -> Json {
 /// Rebuild a [`HealthSnapshot`] from a parsed `health` section — the
 /// read side of [`health_json`], used by validators.
 pub fn health_from_json(section: &Json) -> Option<HealthSnapshot> {
-    let window_ns = section.get("window_ns")?.as_u64()?;
-    let n = section.get("windows")?.as_u64()? as usize;
-    let mut windows = vec![[0i64; crate::live::GAUGES]; n];
-    if let Some(Json::O(members)) = section.get("deltas") {
-        for (name, arr) in members {
-            let g = Gauge::from_name(name)?;
-            let deltas = arr.as_array()?;
-            if deltas.len() != n {
-                return None;
-            }
-            for (i, d) in deltas.iter().enumerate() {
-                windows[i][g as usize] = d.as_i64()?;
-            }
-        }
-    }
-    Some(HealthSnapshot { window_ns, windows })
+    let column = |name: &str| Gauge::from_name(name).map(|g| g as usize);
+    windows_from_json(section, "deltas", column, Json::as_i64)
 }
 
 /// Watchdog log → the report `alerts` section: the event count and the

@@ -10,33 +10,19 @@
 //!   by cause, per-verb counts, wire RTs, bytes, cache hits/misses,
 //!   lock waits/steals, epoch bumps). A closed enum keeps every window
 //!   a flat `[u64; METRICS]` — no hashing, no allocation per record.
-//! * [`SeriesRecorder`] — the `Cell`-based per-thread collector.
-//!   Recording reads the caller-supplied virtual timestamp but never
-//!   advances any clock, so sampling is free in virtual time: a run
-//!   with the recorder on and off produces the identical timeline.
-//! * [`SeriesSnapshot`] — the mergeable result. Merging is per-window
-//!   vector addition after width alignment, which makes it
-//!   associative, commutative, and lossless: merging per-session
-//!   series in any order equals recording everything single-threaded.
-//!
-//! **Window widths.** A recorder starts at its configured width and
-//! doubles it (coalescing adjacent window pairs) whenever the run
-//! outgrows [`MAX_WINDOWS`], so memory stays bounded without losing a
-//! single count. Because an event at virtual time `t` lands in window
-//! `t / width` and widths only grow by integer factors,
-//! `floor(floor(t/w)/f) == floor(t/(w*f))` — coalescing later is the
-//! same as having recorded coarse from the start, which is what makes
-//! cross-session merge exact even when sessions doubled independently.
+//! * [`SeriesRecorder`] / [`SeriesSnapshot`] — the [`crate::window`]
+//!   recorder and snapshot over a flat `[u64; METRICS]` window, folded
+//!   by addition. Recording reads the caller-supplied virtual timestamp
+//!   but never advances any clock, so sampling is free in virtual time:
+//!   a run with the recorder on and off produces the identical
+//!   timeline. Width doubling and the exact, order-free merge are the
+//!   window module's.
 
-use std::cell::{Cell, RefCell};
+pub use crate::window::MAX_WINDOWS;
+use crate::window::{Recorder, Windowed};
 
 /// Number of tracked metrics (length of a window vector).
 pub const METRICS: usize = 27;
-
-/// Hard cap on windows held by one recorder; crossing it doubles the
-/// window width (pairwise coalesce), keeping memory bounded at
-/// `MAX_WINDOWS * METRICS * 8` bytes per endpoint.
-pub const MAX_WINDOWS: usize = 512;
 
 /// Default window width for experiment harnesses, virtual ns. Short
 /// runs get fine-grained curves; long runs auto-coarsen by doubling.
@@ -172,137 +158,30 @@ impl Metric {
     }
 }
 
+/// One counter window: a flat vector indexed by [`Metric`].
 type Window = [u64; METRICS];
 
-const ZERO_WINDOW: Window = [0; METRICS];
+/// Per-thread windowed counter collector (see [`crate::window`]).
+/// Disabled until [`Recorder::enable`]; recording while disabled is a
+/// no-op, so instrumented layers can call unconditionally.
+pub type SeriesRecorder = Recorder<Window>;
 
-/// Per-thread windowed counter collector. Disabled (width 0) until
-/// [`SeriesRecorder::enable`]; recording while disabled is a no-op, so
-/// instrumented layers can call unconditionally.
-#[derive(Debug, Default)]
-pub struct SeriesRecorder {
-    /// Configured window width; restored by [`SeriesRecorder::clear`].
-    base_width_ns: Cell<u64>,
-    /// Current width (doubles when a run outgrows [`MAX_WINDOWS`]).
-    width_ns: Cell<u64>,
-    windows: RefCell<Vec<Window>>,
-}
+/// An immutable windowed counter series; the mergeable cross-thread
+/// result. Merging adds per-window vectors after width alignment.
+pub type SeriesSnapshot = Windowed<Window>;
 
-impl SeriesRecorder {
-    /// A recorder that ignores everything until enabled.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Turn sampling on with `width_ns`-wide windows (0 turns it off).
-    /// Drops any previously recorded windows.
-    pub fn enable(&self, width_ns: u64) {
-        self.base_width_ns.set(width_ns);
-        self.width_ns.set(width_ns);
-        self.windows.borrow_mut().clear();
-    }
-
-    /// Whether sampling is on.
-    pub fn enabled(&self) -> bool {
-        self.width_ns.get() != 0
-    }
-
+impl Recorder<Window> {
     /// Add `delta` to `metric` in the window covering virtual time
     /// `now_ns`. Never advances any clock.
     #[inline]
     pub fn note(&self, now_ns: u64, metric: Metric, delta: u64) {
-        let width = self.width_ns.get();
-        if width == 0 || delta == 0 {
-            return;
-        }
-        let mut idx = (now_ns / width) as usize;
-        if idx >= MAX_WINDOWS {
-            self.coalesce_until(now_ns, &mut idx);
-        }
-        let mut windows = self.windows.borrow_mut();
-        if windows.len() <= idx {
-            windows.resize(idx + 1, ZERO_WINDOW);
-        }
-        windows[idx][metric as usize] += delta;
-    }
-
-    /// Double the window width (summing adjacent pairs) until `now_ns`
-    /// fits under [`MAX_WINDOWS`]. Exact: every count stays in the
-    /// window covering its original timestamp.
-    fn coalesce_until(&self, now_ns: u64, idx: &mut usize) {
-        let mut windows = self.windows.borrow_mut();
-        let mut width = self.width_ns.get();
-        while (now_ns / width) as usize >= MAX_WINDOWS {
-            width *= 2;
-            let half = windows.len().div_ceil(2);
-            for i in 0..half {
-                let mut merged = windows[2 * i];
-                if let Some(odd) = windows.get(2 * i + 1) {
-                    for (dst, src) in merged.iter_mut().zip(odd.iter()) {
-                        *dst += src;
-                    }
-                }
-                windows[i] = merged;
-            }
-            windows.truncate(half);
-        }
-        self.width_ns.set(width);
-        *idx = (now_ns / width) as usize;
-    }
-
-    /// Drop all windows and restore the configured base width.
-    pub fn clear(&self) {
-        self.width_ns.set(self.base_width_ns.get());
-        self.windows.borrow_mut().clear();
-    }
-
-    /// Copy out the recorded series (empty when disabled).
-    pub fn snapshot(&self) -> SeriesSnapshot {
-        SeriesSnapshot {
-            window_ns: self.width_ns.get(),
-            windows: self.windows.borrow().clone(),
+        if delta != 0 {
+            self.record(now_ns, |w| w[metric as usize] += delta);
         }
     }
 }
 
-/// An immutable windowed series; the mergeable cross-thread result.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SeriesSnapshot {
-    /// Window width, virtual ns (0 only for the empty snapshot).
-    pub window_ns: u64,
-    /// Contiguous windows from virtual time 0; window `i` covers
-    /// `[i*window_ns, (i+1)*window_ns)`.
-    pub windows: Vec<[u64; METRICS]>,
-}
-
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
-}
-
-impl SeriesSnapshot {
-    /// The identity for [`SeriesSnapshot::merge`].
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
-    /// No windows recorded.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
-    }
-
-    /// Number of windows.
-    pub fn len(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// Start of window `i`, virtual ns.
-    pub fn window_start_ns(&self, i: usize) -> u64 {
-        i as u64 * self.window_ns
-    }
-
+impl Windowed<Window> {
     /// `metric`'s count in window `i`.
     pub fn get(&self, i: usize, metric: Metric) -> u64 {
         self.windows[i][metric as usize]
@@ -345,57 +224,6 @@ impl SeriesSnapshot {
                 }
             })
             .collect()
-    }
-
-    /// Re-bucket to `new_width` (must be a multiple of the current
-    /// width). Exact: counts only move into the coarser window that
-    /// already contains their original one.
-    pub fn coarsen_to(&mut self, new_width: u64) {
-        if self.window_ns == new_width || self.is_empty() {
-            self.window_ns = new_width.max(self.window_ns);
-            return;
-        }
-        assert!(
-            new_width.is_multiple_of(self.window_ns),
-            "coarsen_to({new_width}) not a multiple of {}",
-            self.window_ns
-        );
-        let f = (new_width / self.window_ns) as usize;
-        let coarse_len = self.windows.len().div_ceil(f);
-        let mut coarse = vec![ZERO_WINDOW; coarse_len];
-        for (i, w) in self.windows.iter().enumerate() {
-            let dst = &mut coarse[i / f];
-            for (d, s) in dst.iter_mut().zip(w.iter()) {
-                *d += s;
-            }
-        }
-        self.windows = coarse;
-        self.window_ns = new_width;
-    }
-
-    /// Fold `other` into `self`. Widths are aligned to their least
-    /// common multiple first, so the operation is associative,
-    /// commutative, and lossless (totals are preserved exactly).
-    pub fn merge(&mut self, other: &SeriesSnapshot) {
-        if other.is_empty() {
-            return;
-        }
-        if self.is_empty() {
-            *self = other.clone();
-            return;
-        }
-        let target = self.window_ns / gcd(self.window_ns, other.window_ns) * other.window_ns;
-        self.coarsen_to(target);
-        let mut o = other.clone();
-        o.coarsen_to(target);
-        if self.windows.len() < o.windows.len() {
-            self.windows.resize(o.windows.len(), ZERO_WINDOW);
-        }
-        for (dst, src) in self.windows.iter_mut().zip(o.windows.iter()) {
-            for (d, s) in dst.iter_mut().zip(src.iter()) {
-                *d += s;
-            }
-        }
     }
 }
 

@@ -9,9 +9,9 @@
 //! module supplies the sensors that claim needs:
 //!
 //! * **Per-memory-node accounting** — ingress/egress bytes, verbs, and
-//!   remote nanoseconds per fixed-width virtual-time window (the same
-//!   geometry and pairwise-doubling coalescing as
-//!   [`crate::timeseries::SeriesRecorder`]), plus a per-window
+//!   remote nanoseconds per fixed-width virtual-time window (the
+//!   [`crate::window`] width policy, one width shared by every node
+//!   track), plus a per-window
 //!   queue-delay high-water mark (atomic-unit queueing observed at that
 //!   node). Occupancy (allocated vs capacity bytes) is stamped onto the
 //!   snapshot by the harness that owns the allocators.
@@ -23,7 +23,7 @@
 //! * **A mergeable snapshot** — [`UtilSnapshot`] merges across
 //!   endpoints like every other telemetry product: associative,
 //!   commutative window sums (high-water marks merge by max, which is
-//!   exact for maxima), heat lists through [`merge_top`].
+//!   exact for maxima), heat lists through `fold_top`.
 //!
 //! Like the series and gauge recorders, [`UtilRecorder`] reads the
 //! caller-supplied virtual timestamp but never advances any clock:
@@ -31,10 +31,10 @@
 
 use std::cell::{Cell, RefCell};
 
-use crate::contention::{merge_top, TopEntry, TopK};
+use crate::contention::{fold_top, TopEntry, TopK};
 use crate::json::Json;
 use crate::span::{bucket_name, OTHER_BUCKET};
-use crate::timeseries::MAX_WINDOWS;
+use crate::window::{self, Fold, Width};
 
 /// Page-range granularity of the heat sketches: offsets are bucketed
 /// into `1 << HEAT_RANGE_SHIFT`-byte ranges (64 KiB).
@@ -87,8 +87,8 @@ pub struct UtilWindow {
     pub queue_hwm_ns: u64,
 }
 
-impl UtilWindow {
-    /// Fold `other` into `self`: sums add, the high-water mark maxes.
+impl Fold for UtilWindow {
+    /// Sums add, the high-water mark maxes.
     fn absorb(&mut self, other: &UtilWindow) {
         self.ingress_bytes += other.ingress_bytes;
         self.egress_bytes += other.egress_bytes;
@@ -96,7 +96,9 @@ impl UtilWindow {
         self.remote_ns += other.remote_ns;
         self.queue_hwm_ns = self.queue_hwm_ns.max(other.queue_hwm_ns);
     }
+}
 
+impl UtilWindow {
     /// All-zero window.
     pub fn is_zero(&self) -> bool {
         *self == UtilWindow::default()
@@ -114,13 +116,15 @@ pub struct PhaseLoad {
     pub remote_ns: u64,
 }
 
-impl PhaseLoad {
+impl Fold for PhaseLoad {
     fn absorb(&mut self, other: &PhaseLoad) {
         self.bytes += other.bytes;
         self.verbs += other.verbs;
         self.remote_ns += other.remote_ns;
     }
+}
 
+impl PhaseLoad {
     fn is_zero(&self) -> bool {
         *self == PhaseLoad::default()
     }
@@ -131,10 +135,8 @@ impl PhaseLoad {
 /// the fabric can call unconditionally.
 #[derive(Debug)]
 pub struct UtilRecorder {
-    /// Configured window width; restored by [`UtilRecorder::clear`].
-    base_width_ns: Cell<u64>,
-    /// Current width (doubles when a run outgrows [`MAX_WINDOWS`]).
-    width_ns: Cell<u64>,
+    /// Window width shared by every node track (see [`crate::window`]).
+    width: Width,
     /// Session tag recorded into the by-session sketch (0 = untagged).
     session_tag: Cell<u64>,
     /// Per-node window tracks, keyed by node id (small linear vec —
@@ -157,8 +159,7 @@ impl UtilRecorder {
     /// A recorder that ignores everything until enabled.
     pub fn new() -> Self {
         Self {
-            base_width_ns: Cell::new(0),
-            width_ns: Cell::new(0),
+            width: Width::default(),
             session_tag: Cell::new(0),
             nodes: RefCell::new(Vec::new()),
             heat_bytes: RefCell::new(TopK::new(0)),
@@ -172,8 +173,7 @@ impl UtilRecorder {
     /// Turn capture on with `width_ns`-wide windows (0 turns it off).
     /// Drops any previously recorded state.
     pub fn enable(&self, width_ns: u64) {
-        self.base_width_ns.set(width_ns);
-        self.width_ns.set(width_ns);
+        self.width.set(width_ns);
         self.reset_state();
         let cap = if width_ns == 0 { 0 } else { HEAT_TOP_K };
         *self.heat_bytes.borrow_mut() = TopK::new(cap);
@@ -183,8 +183,9 @@ impl UtilRecorder {
     }
 
     /// Whether capture is on.
+    #[inline]
     pub fn enabled(&self) -> bool {
-        self.width_ns.get() != 0
+        self.width.get() != 0
     }
 
     /// Tag subsequent traffic with a session id for the by-session heat
@@ -210,16 +211,17 @@ impl UtilRecorder {
         queue_ns: u64,
         phase: usize,
     ) {
-        let width = self.width_ns.get();
-        if width == 0 {
+        if !self.enabled() {
             return;
         }
-        let mut idx = (now_ns / width) as usize;
-        if idx >= MAX_WINDOWS {
-            self.coalesce_until(now_ns, &mut idx);
-        }
+        let (idx, factor) = self.width.slot(now_ns);
         {
             let mut nodes = self.nodes.borrow_mut();
+            if factor > 1 {
+                for (_, track) in nodes.iter_mut() {
+                    window::coarsen_track(track, factor);
+                }
+            }
             let pos = match nodes.iter().position(|(n, _)| *n == node) {
                 Some(p) => p,
                 None => {
@@ -256,33 +258,9 @@ impl UtilRecorder {
         p.remote_ns += remote_ns;
     }
 
-    /// Double the window width (folding adjacent pairs on every node
-    /// track) until `now_ns` fits under [`MAX_WINDOWS`]. Exact for the
-    /// sums and for the high-water marks (max of a pair of maxima).
-    fn coalesce_until(&self, now_ns: u64, idx: &mut usize) {
-        let mut nodes = self.nodes.borrow_mut();
-        let mut width = self.width_ns.get();
-        while (now_ns / width) as usize >= MAX_WINDOWS {
-            width *= 2;
-            for (_, track) in nodes.iter_mut() {
-                let half = track.len().div_ceil(2);
-                for i in 0..half {
-                    let mut merged = track[2 * i];
-                    if let Some(odd) = track.get(2 * i + 1) {
-                        merged.absorb(odd);
-                    }
-                    track[i] = merged;
-                }
-                track.truncate(half);
-            }
-        }
-        self.width_ns.set(width);
-        *idx = (now_ns / width) as usize;
-    }
-
     /// Drop all recorded state and restore the configured base width.
     pub fn clear(&self) {
-        self.width_ns.set(self.base_width_ns.get());
+        self.width.reset();
         self.reset_state();
         self.heat_bytes.borrow_mut().reset();
         self.heat_verbs.borrow_mut().reset();
@@ -317,7 +295,7 @@ impl UtilRecorder {
             .collect();
         out.sort_by_key(|n| n.node);
         UtilSnapshot {
-            window_ns: if out.is_empty() { 0 } else { self.width_ns.get() },
+            window_ns: if out.is_empty() { 0 } else { self.width.get() },
             nodes: out,
             heat_bytes: self.heat_bytes.borrow().snapshot(),
             heat_verbs: self.heat_verbs.borrow().snapshot(),
@@ -389,13 +367,6 @@ pub struct UtilSnapshot {
     pub by_phase: Vec<PhaseLoad>,
 }
 
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
-}
-
 impl UtilSnapshot {
     /// The identity for [`UtilSnapshot::merge`].
     pub fn empty() -> Self {
@@ -454,37 +425,22 @@ impl UtilSnapshot {
             self.window_ns = new_width.max(self.window_ns);
             return;
         }
-        assert!(
-            new_width.is_multiple_of(self.window_ns),
-            "coarsen_to({new_width}) not a multiple of {}",
-            self.window_ns
-        );
-        let f = (new_width / self.window_ns) as usize;
+        let f = window::factor(self.window_ns, new_width);
         for n in &mut self.nodes {
-            let coarse_len = n.windows.len().div_ceil(f);
-            let mut coarse = vec![UtilWindow::default(); coarse_len];
-            for (i, w) in n.windows.iter().enumerate() {
-                coarse[i / f].absorb(w);
-            }
-            n.windows = coarse;
+            window::coarsen_track(&mut n.windows, f);
         }
         self.window_ns = new_width;
     }
 
     /// Fold `other` into `self`. Window widths align to their least
     /// common multiple; per-node windows add (high-water marks max),
-    /// heat lists fold through [`merge_top`], phase loads add, and
-    /// occupancy stamps take the max (stamps are point-in-time
+    /// heat lists keep their union through `fold_top`, phase loads
+    /// add, and occupancy stamps take the max (stamps are point-in-time
     /// allocator readings, not flows). Associative and commutative,
-    /// like every other telemetry merge.
-    ///
-    /// The folded heat lists are deliberately *not* truncated here:
-    /// truncating mid-fold would make an iterative many-way merge
-    /// depend on fold order (a key evicted early cannot regain rank
-    /// later). The union stays bounded — each input carries at most
-    /// [`HEAT_TOP_K`] entries per list — and the JSON render trims to
-    /// [`crate::contention::MERGED_TOP_K`] deterministically after the
-    /// final sort.
+    /// like every other telemetry merge. The union stays bounded — each
+    /// input carries at most [`HEAT_TOP_K`] entries per list — and the
+    /// JSON render trims to [`crate::contention::MERGED_TOP_K`]
+    /// deterministically after the final sort.
     pub fn merge(&mut self, other: &UtilSnapshot) {
         if other.is_empty() {
             return;
@@ -498,18 +454,13 @@ impl UtilSnapshot {
             // At most one side carries windows; adopt its geometry.
             self.window_ns = self.window_ns.max(o.window_ns);
         } else {
-            let target = self.window_ns / gcd(self.window_ns, o.window_ns) * o.window_ns;
+            let target = window::lcm(self.window_ns, o.window_ns);
             self.coarsen_to(target);
             o.coarsen_to(target);
         }
         for on in &o.nodes {
             if let Some(n) = self.nodes.iter_mut().find(|n| n.node == on.node) {
-                if n.windows.len() < on.windows.len() {
-                    n.windows.resize(on.windows.len(), UtilWindow::default());
-                }
-                for (dst, src) in n.windows.iter_mut().zip(on.windows.iter()) {
-                    dst.absorb(src);
-                }
+                window::absorb_track(&mut n.windows, &on.windows);
                 n.capacity_bytes = n.capacity_bytes.max(on.capacity_bytes);
                 n.allocated_bytes = n.allocated_bytes.max(on.allocated_bytes);
             } else {
@@ -521,25 +472,11 @@ impl UtilSnapshot {
         for n in &mut self.nodes {
             n.windows.resize(len, UtilWindow::default());
         }
-        self.heat_bytes = merge_top(
-            &[std::mem::take(&mut self.heat_bytes), o.heat_bytes],
-            usize::MAX,
-        );
-        self.heat_verbs = merge_top(
-            &[std::mem::take(&mut self.heat_verbs), o.heat_verbs],
-            usize::MAX,
-        );
-        self.heat_ns = merge_top(&[std::mem::take(&mut self.heat_ns), o.heat_ns], usize::MAX);
-        self.by_session = merge_top(
-            &[std::mem::take(&mut self.by_session), o.by_session],
-            usize::MAX,
-        );
-        if self.by_phase.len() < o.by_phase.len() {
-            self.by_phase.resize(o.by_phase.len(), PhaseLoad::default());
-        }
-        for (dst, src) in self.by_phase.iter_mut().zip(o.by_phase.iter()) {
-            dst.absorb(src);
-        }
+        fold_top(&mut self.heat_bytes, &o.heat_bytes);
+        fold_top(&mut self.heat_verbs, &o.heat_verbs);
+        fold_top(&mut self.heat_ns, &o.heat_ns);
+        fold_top(&mut self.by_session, &o.by_session);
+        window::absorb_track(&mut self.by_phase, &o.by_phase);
     }
 }
 
@@ -754,6 +691,7 @@ pub fn utilization_from_json(section: &Json) -> Option<UtilSnapshot> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::MAX_WINDOWS;
 
     #[test]
     fn disabled_recorder_records_nothing() {

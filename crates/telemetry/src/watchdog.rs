@@ -29,6 +29,7 @@
 use crate::analysis::RollingBaseline;
 use crate::live::{Gauge, HealthSnapshot, GAUGES};
 use crate::timeseries::{Metric, SeriesSnapshot, METRICS};
+use crate::window::lcm;
 
 /// Number of watchdog rules (one per [`AlertKind`]).
 pub const RULES: usize = 8;
@@ -377,42 +378,35 @@ impl Watchdog {
 }
 
 /// Replay a finished run's merged series (plus optional health plane
-/// and per-window p99s, indexed by series window) through a fresh
-/// watchdog, window by window in virtual-time order — exactly what an
-/// online monitor would have seen. The final window is skipped: it is
-/// usually partial and would fake a terminal dip (same convention as
-/// `analysis::recovery_facts`). Returns the alert log.
+/// and raw `(virtual_end_ns, latency_ns)` txn samples for the windowed
+/// p99s) through a fresh watchdog, window by window in virtual-time
+/// order — exactly what an online monitor would have seen. The two
+/// planes double their widths independently, so both are first aligned
+/// to the least common multiple of their widths. The final window is
+/// skipped: it is usually partial and would fake a terminal dip (same
+/// convention as `analysis::recovery_facts`). Returns the alert log.
 pub fn run_over(
     mut cfg: WatchdogConfig,
     series: &SeriesSnapshot,
     health: Option<&HealthSnapshot>,
-    p99s: Option<&[Option<u64>]>,
+    samples: Option<&[(u64, u64)]>,
 ) -> Vec<AlertEvent> {
-    cfg.window_ns = series.window_ns;
+    let health = health.filter(|h| !h.is_empty());
+    let width = health.map_or(series.window_ns, |h| lcm(series.window_ns, h.window_ns));
+    let mut series = series.clone();
+    series.coarsen_to(width);
+    let health = health.map(|h| {
+        let mut h = h.clone();
+        h.coarsen_to(width);
+        h
+    });
+    let p99s = samples.map(|s| windowed_p99(s, width, series.len()));
+    cfg.window_ns = width;
     let mut wd = Watchdog::new(cfg);
-    // Align the health plane to the counter stream's width. Both start
-    // from the same base width and only double, so one divides the
-    // other; the gauge plane (rarer events) is never the coarser one.
-    let aligned;
-    let health = match health {
-        Some(h) if !h.is_empty() => {
-            assert!(
-                series.window_ns.is_multiple_of(h.window_ns),
-                "health width {} does not divide series width {}",
-                h.window_ns,
-                series.window_ns
-            );
-            let mut h2 = h.clone();
-            h2.coarsen_to(series.window_ns);
-            aligned = h2;
-            Some(&aligned)
-        }
-        _ => None,
-    };
     let mut levels = [0i64; GAUGES];
     let n = series.len().saturating_sub(1);
     for i in 0..n {
-        if let Some(h) = health {
+        if let Some(h) = &health {
             if let Some(w) = h.windows.get(i) {
                 for (lvl, d) in levels.iter_mut().zip(w.iter()) {
                     *lvl += d;
@@ -420,8 +414,8 @@ pub fn run_over(
             }
         }
         let end_ns = series.window_start_ns(i + 1);
-        let p99 = p99s.and_then(|p| p.get(i).copied().flatten());
-        wd.observe_window(end_ns, &series.windows[i], health.map(|_| &levels), p99);
+        let p99 = p99s.as_ref().and_then(|p| p.get(i).copied().flatten());
+        wd.observe_window(end_ns, &series.windows[i], health.as_ref().map(|_| &levels), p99);
     }
     wd.into_log()
 }
@@ -689,6 +683,31 @@ mod tests {
         let log = run_over(cfg, &r.snapshot(), Some(&g.snapshot()), None);
         assert_eq!(log.len(), 1, "{log:?}");
         assert_eq!(log[0].kind, AlertKind::StuckSession);
+    }
+
+    #[test]
+    fn run_over_aligns_a_health_plane_coarser_than_the_series() {
+        use crate::live::GaugeRecorder;
+        let r = SeriesRecorder::new();
+        r.enable(W);
+        r.note(50, Metric::Commits, 1);
+        r.note(9 * W, Metric::Commits, 1); // extend span, silent middle
+        let g = GaugeRecorder::new();
+        g.enable(W);
+        g.add(W, Gauge::SessionsInFlight, 1);
+        g.add(W * 517, Gauge::SessionsInFlight, -1);
+        let (s, h) = (r.snapshot(), g.snapshot());
+        assert_eq!((s.window_ns, h.window_ns), (W, 2 * W));
+        let mut cfg = WatchdogConfig::new(W, 1);
+        cfg.stuck_windows = 2;
+        cfg.warmup_windows = 100;
+        let samples = [(50, 7), (W + 50, 9)];
+        let log = run_over(cfg, &s, Some(&h), Some(&samples));
+        // Aligned at 2W: five windows, the last one skipped; the session
+        // entered in window 0 and nothing retired in windows 1 and 2.
+        assert_eq!(log.len(), 1, "{log:?}");
+        assert_eq!(log[0].kind, AlertKind::StuckSession);
+        assert_eq!(log[0].at_ns, 3 * 2 * W);
     }
 
     #[test]
