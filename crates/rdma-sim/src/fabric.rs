@@ -1687,4 +1687,190 @@ mod tests {
         let ep = fabric.endpoint();
         assert_eq!(ep.read_u64(node, DATA).unwrap(), 4000);
     }
+
+    #[test]
+    fn every_verb_lands_in_every_plane_once() {
+        use telemetry::Metric;
+        let p = NetworkProfile::rdma_cx6();
+        let fabric = Fabric::new(p);
+        let n0 = fabric.register_node(1024);
+        let n1 = fabric.register_node(1024);
+        let mb1 = fabric.mailboxes().register(1);
+        let _mb2 = fabric.mailboxes().register(2);
+        let ep = fabric.endpoint();
+        ep.enable_flight_recorder(256);
+        ep.enable_timeseries(10_000);
+        ep.enable_health(10_000);
+        ep.enable_utilization(10_000);
+
+        ep.send(1, 9, vec![0u8; 32]).unwrap();
+        let delivered = ep
+            .send_batch([
+                (1u64, 9u64, vec![0u8; 16]),
+                (777, 9, vec![0u8; 8]), // never registered
+                (2, 9, vec![0u8; 40]),
+            ])
+            .unwrap();
+        assert_eq!(delivered, 2);
+        let mut b16 = [0u8; 16];
+        ep.write(n0, 0, &[1u8; 16]).unwrap();
+        ep.read(n0, 0, &mut b16).unwrap();
+        ep.write_u64(n1, 8, 5).unwrap();
+        assert_eq!(ep.read_u64(n1, 8).unwrap(), 5);
+        assert_eq!(ep.cas(n0, 64, 0, 1).unwrap(), 0);
+        assert_eq!(ep.cas(n0, 64, 0, 2).unwrap(), 1); // loses
+        assert_eq!(ep.faa(n1, 64, 3).unwrap(), 0);
+        let (mut ra, mut rb, mut rc) = ([0u8; 16], [0u8; 8], [0u8; 32]);
+        ep.read_batch(&mut [(n0, 0, &mut ra), (n1, 8, &mut rb), (n0, 128, &mut rc)])
+            .unwrap();
+        ep.write_batch(&[(n1, 256, &[2u8; 16]), (n0, 256, &[3u8; 8]), (n1, 512, &[4u8; 24])])
+            .unwrap();
+        ep.try_recv(&mb1).unwrap();
+
+        let s = ep.stats();
+        assert_eq!(
+            s,
+            StatsSnapshot {
+                reads: 5,
+                writes: 5,
+                cas: 2,
+                faa: 1,
+                sends: 3,
+                recvs: 1,
+                bytes_read: 16 + 8 + 16 + 8 + 32,
+                bytes_written: 16 + 8 + 16 + 8 + 24,
+                bytes_sent: 32 + 16 + 40,
+                bytes_recvd: 32,
+                cas_failures: 1,
+                doorbells: 3,
+                coalesced: 2 + 2 + 1,
+            }
+        );
+
+        let kinds = [
+            (OpKind::Read, 5),
+            (OpKind::Write, 5),
+            (OpKind::Cas, 2),
+            (OpKind::Faa, 1),
+            (OpKind::Send, 3),
+            (OpKind::Recv, 1),
+        ];
+        for (kind, n) in kinds {
+            assert_eq!(ep.verb_latency(kind).count(), n, "{kind:?}");
+        }
+        let peers: Vec<(NodeId, u64)> =
+            ep.peer_latency().iter().map(|(n, h)| (*n, h.count())).collect();
+        assert_eq!(peers, vec![(n0, 7), (n1, 6)]);
+
+        let series = ep.series_snapshot();
+        let metrics = [
+            (Metric::Reads, 5),
+            (Metric::Writes, 5),
+            (Metric::Cas, 2),
+            (Metric::Faa, 1),
+            (Metric::Sends, 3),
+            (Metric::Recvs, 1),
+            // Every verb but RECV puts its payload on the wire.
+            (Metric::BytesWire, 80 + 72 + 8 + 8 + 8 + 88),
+            (Metric::WireRts, ep.stats.wire_rts_now()),
+        ];
+        for (metric, total) in metrics {
+            assert_eq!(series.total(metric), total, "{metric:?}");
+        }
+        assert_eq!(series.total(Metric::WireRts), 16 - 5);
+
+        let health = ep.health_snapshot();
+        assert_eq!(health.final_level(Gauge::VerbsOutstanding), 0);
+        assert!(health.max_level(Gauge::VerbsOutstanding) >= 1);
+
+        let util = ep.utilization_snapshot();
+        let per_node: Vec<(u64, u64, u64, u64, u64)> = util
+            .nodes
+            .iter()
+            .map(|n| {
+                let t = n.totals();
+                (n.node, t.verbs, t.ingress_bytes, t.egress_bytes, t.queue_hwm_ns)
+            })
+            .collect();
+        assert_eq!(
+            per_node,
+            vec![
+                (n0 as u64, 7, 16 + 8 + 8 + 8, 16 + 16 + 32, p.atomic_unit_ns),
+                (n1 as u64, 6, 8 + 8 + 16 + 24, 8 + 8, p.atomic_unit_ns),
+            ]
+        );
+
+        let cas_top = ep.contention_snapshot().cas_top;
+        assert_eq!(cas_top.len(), 1);
+        assert_eq!((cas_top[0].key, cas_top[0].count), (pack_addr(n0, 64), 1));
+
+        let none = u16::MAX;
+        let (rd, wr) = (EventKind::Verb(OpKind::Read), EventKind::Verb(OpKind::Write));
+        let (cas, faa) = (EventKind::Verb(OpKind::Cas), EventKind::Verb(OpKind::Faa));
+        let (send, recv) = (EventKind::Verb(OpKind::Send), EventKind::Verb(OpKind::Recv));
+        let atomic = p.atomic_cost_ns() + p.atomic_unit_ns;
+        let expected = vec![
+            (send, outcome::OK, none, 1, 32, p.send_cost_ns(32)),
+            (send, outcome::OK, none, 1, 16, p.send_cost_ns(16)),
+            (send, outcome::OK, none, 2, 40, p.batched_cost_ns(40)),
+            (wr, outcome::OK, n0, pack_addr(n0, 0), 16, p.rw_cost_ns(16)),
+            (rd, outcome::OK, n0, pack_addr(n0, 0), 16, p.rw_cost_ns(16)),
+            (wr, outcome::OK, n1, pack_addr(n1, 8), 8, p.rw_cost_ns(8)),
+            (rd, outcome::OK, n1, pack_addr(n1, 8), 8, p.rw_cost_ns(8)),
+            (cas, outcome::OK, n0, pack_addr(n0, 64), 8, atomic),
+            (cas, outcome::CAS_LOST, n0, pack_addr(n0, 64), 8, atomic),
+            (faa, outcome::OK, n1, pack_addr(n1, 64), 8, atomic),
+            (rd, outcome::OK, n0, pack_addr(n0, 0), 16, p.rw_cost_ns(16)),
+            (rd, outcome::OK, n1, pack_addr(n1, 8), 8, p.batched_cost_ns(8)),
+            (rd, outcome::OK, n0, pack_addr(n0, 128), 32, p.batched_cost_ns(32)),
+            (wr, outcome::OK, n1, pack_addr(n1, 256), 16, p.rw_cost_ns(16)),
+            (wr, outcome::OK, n0, pack_addr(n0, 256), 8, p.batched_cost_ns(8)),
+            (wr, outcome::OK, n1, pack_addr(n1, 512), 24, p.batched_cost_ns(24)),
+            // The first message was delivered long before the receive.
+            (recv, outcome::OK, none, 9, 32, 0),
+        ];
+        let got: Vec<_> = ep
+            .flight_events()
+            .iter()
+            .map(|e| (e.kind, e.outcome, e.peer, e.addr, e.bytes, e.dur_ns))
+            .collect();
+        assert_eq!(got, expected);
+
+        // A SEND batch counts its doorbell after its members (only
+        // delivered messages ride along), so the series runs one rider
+        // ahead until the next paid verb nets it out.
+        ep.send_batch([(1u64, 9u64, vec![0u8; 8]), (2, 9, vec![0u8; 8])])
+            .unwrap();
+        let wire_rts = |ep: &Endpoint| ep.series_snapshot().total(Metric::WireRts);
+        assert_eq!(wire_rts(&ep), ep.stats.wire_rts_now() + 1);
+        ep.read_u64(n0, 0).unwrap();
+        assert_eq!(wire_rts(&ep), ep.stats.wire_rts_now());
+    }
+
+    #[test]
+    fn spike_is_in_a_single_verbs_cost_but_not_in_batch_members() {
+        let p = NetworkProfile::rdma_cx6();
+        let fabric = Fabric::new(p);
+        let node = fabric.register_node(64);
+        fabric.install_fault_plan(FaultPlan::new(0).latency_spike(node, 0, u64::MAX, 25_000));
+        let ep = fabric.endpoint();
+        ep.enable_flight_recorder(16);
+        ep.read_u64(node, 0).unwrap();
+        ep.cas(node, 8, 0, 1).unwrap();
+        let (mut a, mut b) = ([0u8; 8], [0u8; 8]);
+        ep.read_batch(&mut [(node, 0, &mut a), (node, 8, &mut b)]).unwrap();
+        let durs: Vec<u64> = ep.flight_events().iter().map(|e| e.dur_ns).collect();
+        assert_eq!(
+            durs,
+            vec![
+                p.rw_cost_ns(8) + 25_000,
+                p.atomic_cost_ns() + 25_000 + p.atomic_unit_ns,
+                p.rw_cost_ns(8),
+                p.batched_cost_ns(8),
+            ]
+        );
+        // The batch still paid the spike once, up front.
+        let spent = 2 * 25_000 + p.rw_cost_ns(8) + p.atomic_cost_ns() + p.atomic_unit_ns;
+        assert_eq!(ep.clock().now_ns(), spent + 25_000 + p.rw_cost_ns(8) + p.batched_cost_ns(8));
+    }
 }
