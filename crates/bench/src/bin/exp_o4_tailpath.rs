@@ -117,7 +117,7 @@ fn main() {
     rep.meta("seed", Json::U(base.seed));
     rep.meta("sessions", Json::U(base.sessions as u64));
     rep.meta("rounds", Json::U(rounds as u64));
-    rep.meta("exemplars_k", Json::U(config::exemplars() as u64));
+    rep.meta("exemplars_k", Json::U(config::EXEMPLARS as u64));
 
     // Part A: the C2 Zipf sweep. As skew rises the tail's blame must
     // migrate toward lock_wait on the antagonist's trace.

@@ -264,7 +264,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     // measured timeline.
     for s in &mut sessions {
         s.endpoint().enable_flight_recorder(TRACE_RING);
-        s.enable_forensics(crate::config::exemplars());
+        s.enable_forensics(crate::config::EXEMPLARS);
         if cfg.window_ns > 0 {
             s.endpoint().enable_timeseries(cfg.window_ns);
             s.endpoint().enable_health(cfg.window_ns);

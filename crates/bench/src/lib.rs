@@ -321,7 +321,7 @@ where
                     // by-session heat split.
                     s.endpoint().set_util_session((n * threads + t + 1) as u64);
                     s.endpoint().enable_flight_recorder(WORKLOAD_TRACE_RING);
-                    s.enable_forensics(config::exemplars());
+                    s.enable_forensics(config::EXEMPLARS);
                     let mut mine = WorkloadResult { sessions: 1, ..WorkloadResult::default() };
                     for i in 0..txns_per_session {
                         let ops = gen(n, t, i);

@@ -145,7 +145,7 @@ pub fn run_observatory(cfg: &ObsConfig) -> ObsOutcome {
     for s in &mut sessions {
         if cfg.trace_ring > 0 {
             s.endpoint().enable_flight_recorder(cfg.trace_ring);
-            s.enable_forensics(crate::config::exemplars());
+            s.enable_forensics(crate::config::EXEMPLARS);
         }
         if cfg.window_ns > 0 {
             s.endpoint().enable_timeseries(cfg.window_ns);

@@ -342,28 +342,35 @@ impl DsmLayer {
     }
 
     fn read_once(&self, ep: &Endpoint, addr: GlobalAddr, dst: &mut [u8]) -> DsmResult<()> {
+        self.fail_over(addr, |node| ep.read(node, addr.offset(), dst))
+    }
+
+    /// The one fail-over sweep: issue `verb` to each member of `addr`'s
+    /// mirror group in order until one answers. Unreachable members are
+    /// skipped. If no member answered but one failed transiently, report
+    /// *that*, so the retry policy re-sweeps instead of declaring the
+    /// group dead.
+    fn fail_over<T>(
+        &self,
+        addr: GlobalAddr,
+        mut verb: impl FnMut(NodeId) -> Result<T, RdmaError>,
+    ) -> DsmResult<T> {
         let g = self.group_of(addr)?;
-        // Track transient failures across the member sweep: if no member
-        // answered but one failed transiently, report *that* so the retry
-        // policy re-sweeps, instead of declaring the group dead.
         let mut transient: Option<RdmaError> = None;
         for member in &g.members {
-            match ep.read(member.id(), addr.offset(), dst) {
-                Ok(()) => return Ok(()),
-                Err(RdmaError::NodeUnreachable(_)) => continue,
-                Err(e) if e.is_transient() => {
-                    transient = Some(e);
-                    continue;
-                }
+            match verb(member.id()) {
+                Ok(v) => return Ok(v),
+                Err(RdmaError::NodeUnreachable(_)) => {}
+                Err(e) if e.is_transient() => transient = Some(e),
                 Err(e) => return Err(e.into()),
             }
         }
-        match transient {
-            Some(e) => Err(e.into()),
-            None => Err(DsmError::GroupUnavailable {
+        Err(match transient {
+            Some(e) => e.into(),
+            None => DsmError::GroupUnavailable {
                 primary: addr.node(),
-            }),
-        }
+            },
+        })
     }
 
     /// Doorbell-batched multi-get: every address in `reqs` is read in one
@@ -450,25 +457,7 @@ impl DsmLayer {
     /// One-sided WRITE of `src` to `addr` on every live mirror member
     /// (doorbell-batched).
     pub fn write(&self, ep: &Endpoint, addr: GlobalAddr, src: &[u8]) -> DsmResult<()> {
-        self.retry_policy().run(ep, || self.write_once(ep, addr, src))
-    }
-
-    fn write_once(&self, ep: &Endpoint, addr: GlobalAddr, src: &[u8]) -> DsmResult<()> {
-        let g = self.group_of(addr)?;
-        let ops: Vec<(NodeId, u64, &[u8])> = g
-            .members
-            .iter()
-            .map(|m| m.id())
-            .filter(|&id| ep.node_reachable(id))
-            .map(|id| (id, addr.offset(), src))
-            .collect();
-        if ops.is_empty() {
-            return Err(DsmError::GroupUnavailable {
-                primary: addr.node(),
-            });
-        }
-        ep.write_batch(&ops)?;
-        Ok(())
+        self.write_batch(ep, &[(addr, src)])
     }
 
     /// 8-byte CAS on the group primary (synchronization state lives on the
@@ -491,29 +480,9 @@ impl DsmLayer {
 
     /// Aligned 8-byte read (primary, with mirror failover).
     pub fn read_u64(&self, ep: &Endpoint, addr: GlobalAddr) -> DsmResult<u64> {
-        self.retry_policy().run(ep, || self.read_u64_once(ep, addr))
-    }
-
-    fn read_u64_once(&self, ep: &Endpoint, addr: GlobalAddr) -> DsmResult<u64> {
-        let g = self.group_of(addr)?;
-        let mut transient: Option<RdmaError> = None;
-        for member in &g.members {
-            match ep.read_u64(member.id(), addr.offset()) {
-                Ok(v) => return Ok(v),
-                Err(RdmaError::NodeUnreachable(_)) => continue,
-                Err(e) if e.is_transient() => {
-                    transient = Some(e);
-                    continue;
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-        match transient {
-            Some(e) => Err(e.into()),
-            None => Err(DsmError::GroupUnavailable {
-                primary: addr.node(),
-            }),
-        }
+        self.retry_policy().run(ep, || {
+            self.fail_over(addr, |node| ep.read_u64(node, addr.offset()))
+        })
     }
 
     /// Aligned 8-byte write to every live mirror member.

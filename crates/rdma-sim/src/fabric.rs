@@ -1,6 +1,6 @@
 //! The fabric: registered nodes, endpoints, and verb execution.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, RefCell, RefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -141,57 +141,35 @@ impl Fabric {
         self.nodes.read().len()
     }
 
+    /// Run `f` on `node`'s slot under the node-table read lock; with
+    /// `live`, a crashed node fails with [`RdmaError::NodeUnreachable`].
+    #[inline(always)]
+    fn slot<T>(&self, node: NodeId, live: bool, f: impl FnOnce(&NodeSlot) -> T) -> RdmaResult<T> {
+        let nodes = self.nodes.read();
+        let slot = nodes
+            .get(node as usize)
+            .ok_or(RdmaError::UnknownNode(node))?;
+        if live && !slot.alive.load(Ordering::Acquire) {
+            return Err(RdmaError::NodeUnreachable(node));
+        }
+        Ok(f(slot))
+    }
+
     /// Direct handle to a node's region *without* network charging — for
     /// the code that runs *on* the memory node itself (offload handlers,
     /// recovery) and for test assertions.
     pub fn region(&self, node: NodeId) -> RdmaResult<Arc<Region>> {
-        let nodes = self.nodes.read();
-        let slot = nodes
-            .get(node as usize)
-            .ok_or(RdmaError::UnknownNode(node))?;
-        Ok(slot.region.clone())
-    }
-
-    fn live_region(&self, node: NodeId) -> RdmaResult<Arc<Region>> {
-        let nodes = self.nodes.read();
-        let slot = nodes
-            .get(node as usize)
-            .ok_or(RdmaError::UnknownNode(node))?;
-        if !slot.alive.load(Ordering::Acquire) {
-            return Err(RdmaError::NodeUnreachable(node));
-        }
-        Ok(slot.region.clone())
-    }
-
-    fn live_region_atomic(&self, node: NodeId) -> RdmaResult<(Arc<Region>, Arc<SharedTimeline>)> {
-        let nodes = self.nodes.read();
-        let slot = nodes
-            .get(node as usize)
-            .ok_or(RdmaError::UnknownNode(node))?;
-        if !slot.alive.load(Ordering::Acquire) {
-            return Err(RdmaError::NodeUnreachable(node));
-        }
-        Ok((slot.region.clone(), slot.atomic_unit.clone()))
+        self.slot(node, false, |s| s.region.clone())
     }
 
     /// Simulate a crash: verbs to `node` fail until revive/replace.
     pub fn crash(&self, node: NodeId) -> RdmaResult<()> {
-        let nodes = self.nodes.read();
-        let slot = nodes
-            .get(node as usize)
-            .ok_or(RdmaError::UnknownNode(node))?;
-        slot.alive.store(false, Ordering::Release);
-        Ok(())
+        self.slot(node, false, |s| s.alive.store(false, Ordering::Release))
     }
 
     /// Bring a crashed node back with its memory intact (power blip).
     pub fn revive(&self, node: NodeId) -> RdmaResult<()> {
-        let nodes = self.nodes.read();
-        let slot = nodes
-            .get(node as usize)
-            .ok_or(RdmaError::UnknownNode(node))?;
-        slot.alive.store(true, Ordering::Release);
-        Ok(())
+        self.slot(node, false, |s| s.alive.store(true, Ordering::Release))
     }
 
     /// Replace a node with fresh hardware: the logical id survives, the
@@ -210,11 +188,7 @@ impl Fabric {
 
     /// Whether a node currently accepts verbs.
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.nodes
-            .read()
-            .get(node as usize)
-            .map(|s| s.alive.load(Ordering::Acquire))
-            .unwrap_or(false)
+        self.slot(node, true, |_| ()).is_ok()
     }
 
     /// The two-sided messaging registry.
@@ -270,7 +244,7 @@ pub struct Endpoint {
     clock: Clock,
     stats: OpStats,
     tracker: PhaseTracker,
-    /// Latency histogram per verb class, indexed by [`kind_index`].
+    /// Latency histogram per verb class, indexed by `kind as usize`.
     verb_lat: [Histogram; 6],
     /// Lazily grown per-peer latency histograms (one-sided + atomics).
     peer_lat: RefCell<Vec<(NodeId, Histogram)>>,
@@ -303,16 +277,21 @@ pub struct Endpoint {
     util: UtilRecorder,
 }
 
-/// Position of a verb class in [`Endpoint`]'s latency histogram array.
-fn kind_index(kind: OpKind) -> usize {
-    match kind {
-        OpKind::Read => 0,
-        OpKind::Write => 1,
-        OpKind::Cas => 2,
-        OpKind::Faa => 3,
-        OpKind::Send => 4,
-        OpKind::Recv => 5,
-    }
+/// The series metric of each verb class, indexed by `kind as usize`.
+const VERB_METRICS: [Metric; 6] = [
+    Metric::Reads,
+    Metric::Writes,
+    Metric::Cas,
+    Metric::Faa,
+    Metric::Sends,
+    Metric::Recvs,
+];
+
+/// What a verb addressed: a byte offset on a memory node, or a mailbox.
+#[derive(Clone, Copy)]
+enum Target {
+    Node(NodeId, u64),
+    Mailbox(MailboxId),
 }
 
 /// RAII phase span: opened by [`Endpoint::span`], closed (and its
@@ -369,13 +348,20 @@ impl Endpoint {
     /// on every path.
     pub fn phase_enter(&self, phase: Phase) {
         self.tracker.enter(phase, self.sample());
-        self.record_event(EventKind::PhaseBegin, None, phase as u64, 0, outcome::OK, 0);
+        self.record_event(
+            EventKind::PhaseBegin,
+            u16::MAX,
+            phase as u64,
+            0,
+            outcome::OK,
+            0,
+        );
     }
 
     /// Close the innermost phase opened by [`Endpoint::phase_enter`].
     pub fn phase_exit(&self) {
         self.tracker.exit(self.sample());
-        self.record_event(EventKind::PhaseEnd, None, 0, 0, outcome::OK, 0);
+        self.record_event(EventKind::PhaseEnd, u16::MAX, 0, 0, outcome::OK, 0);
     }
 
     /// Per-phase attribution so far (flushes the open interval first).
@@ -386,7 +372,7 @@ impl Endpoint {
 
     /// Latency distribution of one verb class (virtual ns per verb).
     pub fn verb_latency(&self, kind: OpKind) -> HistSnapshot {
-        self.verb_lat[kind_index(kind)].snapshot()
+        self.verb_lat[kind as usize].snapshot()
     }
 
     /// Per-peer latency distributions (one-sided + atomic verbs only).
@@ -398,34 +384,48 @@ impl Endpoint {
             .collect()
     }
 
-    /// Record one verb's virtual latency into the class histogram and,
-    /// for node-addressed verbs, the peer histogram; when time-series
-    /// sampling is on, the verb, its bytes, and the wire-RT delta land
-    /// in the current virtual-time window too.
-    #[inline]
-    fn note_verb(&self, kind: OpKind, peer: Option<NodeId>, cost_ns: u64, bytes: usize) {
-        self.verb_lat[kind_index(kind)].record(cost_ns);
-        if let Some(node) = peer {
-            let mut peers = self.peer_lat.borrow_mut();
-            if let Some((_, h)) = peers.iter().find(|(n, _)| *n == node) {
-                h.record(cost_ns);
-            } else {
-                let h = Histogram::new();
-                h.record(cost_ns);
-                peers.push((node, h));
-            }
+    /// Fold one completed verb into every plane: the op counters (and
+    /// the CAS-failure count on [`outcome::CAS_LOST`]), the class and
+    /// peer latency histograms, the time series (the verb, its wire
+    /// bytes, and the wire-RT delta), the `VerbsOutstanding` gauge, the
+    /// utilization plane (node-addressed verbs only), the CAS-retry
+    /// sketch, and the flight recorder. `dur_ns` is the verb's latency
+    /// ending at the current clock, of which `queue_ns` was atomic-unit
+    /// queueing. Reads the clock, never advances it.
+    #[inline(always)]
+    fn observe(
+        &self,
+        kind: OpKind,
+        target: Target,
+        bytes: usize,
+        dur_ns: u64,
+        queue_ns: u64,
+        code: u8,
+    ) {
+        // Counters first: the series below reads the live wire-RT total.
+        self.stats.record(kind, bytes);
+        if code == outcome::CAS_LOST {
+            self.stats.record_cas_failure();
         }
+        self.verb_lat[kind as usize].record(dur_ns);
+        let (peer, addr) = match target {
+            Target::Node(node, offset) => {
+                let mut peers = self.peer_lat.borrow_mut();
+                let pos = peers
+                    .iter()
+                    .position(|(n, _)| *n == node)
+                    .unwrap_or_else(|| {
+                        peers.push((node, Histogram::new()));
+                        peers.len() - 1
+                    });
+                peers[pos].1.record(dur_ns);
+                (node, pack_addr(node, offset))
+            }
+            Target::Mailbox(id) => (u16::MAX, id),
+        };
+        let now = self.clock.now_ns();
         if self.series.enabled() {
-            let now = self.clock.now_ns();
-            let metric = match kind {
-                OpKind::Read => Metric::Reads,
-                OpKind::Write => Metric::Writes,
-                OpKind::Cas => Metric::Cas,
-                OpKind::Faa => Metric::Faa,
-                OpKind::Send => Metric::Sends,
-                OpKind::Recv => Metric::Recvs,
-            };
-            self.series.note(now, metric, 1);
+            self.series.note(now, VERB_METRICS[kind as usize], 1);
             if kind != OpKind::Recv {
                 // RECVs observe bytes the sender already put on the wire.
                 self.series.note(now, Metric::BytesWire, bytes as u64);
@@ -442,35 +442,30 @@ impl Endpoint {
             }
         }
         if self.health.enabled() {
-            // The verb was outstanding from issue (now - cost) until its
+            // The verb was outstanding from issue (now - dur) until its
             // completion (now): +1/-1 net deltas bracket that span, so
             // windowed levels show how many verbs were in flight.
-            let now = self.clock.now_ns();
-            self.health.add(now.saturating_sub(cost_ns), Gauge::VerbsOutstanding, 1);
+            self.health
+                .add(now.saturating_sub(dur_ns), Gauge::VerbsOutstanding, 1);
             self.health.add(now, Gauge::VerbsOutstanding, -1);
         }
-    }
-
-    /// Record one node-addressed verb into the utilization plane:
-    /// `bytes` moved to (`ingress`) or from (`!ingress`) `(node,
-    /// offset)` costing `cost_ns`, of which `queue_ns` was atomic-unit
-    /// queueing. Heat is attributed to the innermost open phase and the
-    /// session tag installed by [`Endpoint::set_util_session`]. No-op
-    /// while utilization capture is off; never advances the clock.
-    #[inline]
-    fn note_util(&self, node: NodeId, offset: u64, ingress: bool, bytes: usize, cost_ns: u64, queue_ns: u64) {
-        if self.util.enabled() {
-            self.util.note(
-                self.clock.now_ns(),
-                node as u64,
-                offset,
-                ingress,
-                bytes as u64,
-                cost_ns,
-                queue_ns,
-                self.tracker.innermost(),
-            );
+        if let Target::Node(node, offset) = target {
+            if self.util.enabled() {
+                // Heat goes to the innermost open phase and the session
+                // tag installed by [`Endpoint::set_util_session`].
+                let phase = self.tracker.innermost();
+                let ingress = kind != OpKind::Read;
+                let (node, bytes) = (node as u64, bytes as u64);
+                self.util
+                    .note(now, node, offset, ingress, bytes, dur_ns, queue_ns, phase);
+            }
         }
+        if code == outcome::CAS_LOST {
+            // A lost CAS is the contention signal: feed the hot-word
+            // retry sketch with the packed lock-word address.
+            self.contention.note_cas_retry(addr);
+        }
+        self.record_event(EventKind::Verb(kind), peer, addr, bytes, code, dur_ns);
     }
 
     /// Reset clock, counters, and telemetry (between experiment phases).
@@ -662,14 +657,7 @@ impl Endpoint {
     /// critical-path extraction follows.
     pub fn note_lock_wait_traced(&self, addr: u64, ns: u64, holder_tag: u64) {
         self.contention.note_wait(addr, ns);
-        if self.series.enabled() {
-            let now = self.clock.now_ns();
-            self.series.note(now, Metric::LockWaits, 1);
-            self.series.note(now, Metric::LockWaitNs, ns);
-        }
-        if self.recorder.enabled() {
-            self.record_wait(addr, ns, self.fabric.trace_of(holder_tag));
-        }
+        self.note_wait(addr, ns, || self.fabric.trace_of(holder_tag));
     }
 
     /// Account `ns` of waiting on a *local* (in-process) lock whose
@@ -678,30 +666,31 @@ impl Endpoint {
     /// they would alias fabric addresses) but still lands in the series
     /// and, when the recorder is on, the event ring.
     pub fn note_local_lock_wait(&self, addr: u64, ns: u64, holder_trace: u64) {
+        self.note_wait(addr, ns, || holder_trace);
+    }
+
+    /// The series and recorder half of a lock wait; `holder_trace` is
+    /// resolved only when the recorder is on.
+    fn note_wait(&self, addr: u64, ns: u64, holder_trace: impl FnOnce() -> u64) {
         if self.series.enabled() {
             let now = self.clock.now_ns();
             self.series.note(now, Metric::LockWaits, 1);
             self.series.note(now, Metric::LockWaitNs, ns);
         }
         if self.recorder.enabled() {
-            self.record_wait(addr, ns, holder_trace);
+            self.recorder.push(Event {
+                ts_ns: self.clock.now_ns().saturating_sub(ns),
+                dur_ns: ns,
+                kind: EventKind::Wait,
+                peer: u16::MAX,
+                addr,
+                bytes: 0,
+                outcome: outcome::OK,
+                txn: self.trace_id.get(),
+                phase: self.tracker.innermost() as u8,
+                aux: holder_trace(),
+            });
         }
-    }
-
-    #[inline]
-    fn record_wait(&self, addr: u64, ns: u64, holder_trace: u64) {
-        self.recorder.push(Event {
-            ts_ns: self.clock.now_ns().saturating_sub(ns),
-            dur_ns: ns,
-            kind: EventKind::Wait,
-            peer: u16::MAX,
-            addr,
-            bytes: 0,
-            outcome: outcome::OK,
-            txn: self.trace_id.get(),
-            phase: self.tracker.innermost() as u8,
-            aux: holder_trace,
-        });
     }
 
     /// Whether the flight recorder is on.
@@ -751,7 +740,7 @@ impl Endpoint {
     fn record_event(
         &self,
         kind: EventKind,
-        peer: Option<NodeId>,
+        peer: u16,
         addr: u64,
         bytes: usize,
         outcome_code: u8,
@@ -764,7 +753,7 @@ impl Endpoint {
             ts_ns: self.clock.now_ns().saturating_sub(dur_ns),
             dur_ns,
             kind,
-            peer: peer.unwrap_or(u16::MAX),
+            peer,
             addr,
             bytes: bytes as u32,
             outcome: outcome_code,
@@ -786,11 +775,7 @@ impl Endpoint {
     /// injected fault, charges the plan's detection latency (the
     /// completion timeout) and surfaces the fault.
     fn inject(&self, node: NodeId) -> RdmaResult<u64> {
-        let gen = self.fabric.fault_generation();
-        let mut view = self.faults.borrow_mut();
-        if view.generation() != gen {
-            view.rebind(gen, self.fabric.fault_plan_arc());
-        }
+        let mut view = self.fault_view();
         match view.check(node, self.clock.now_ns()) {
             Ok(extra) => Ok(extra),
             Err(e) => {
@@ -802,7 +787,7 @@ impl Endpoint {
                     RdmaError::Transient(_) => outcome::TRANSIENT,
                     _ => outcome::UNREACHABLE,
                 };
-                self.record_event(EventKind::Fault, Some(node), 0, 0, code, detect);
+                self.record_event(EventKind::Fault, node, 0, 0, code, detect);
                 Err(e)
             }
         }
@@ -816,65 +801,108 @@ impl Endpoint {
         if !self.fabric.is_alive(node) {
             return false;
         }
-        let gen = self.fabric.fault_generation();
-        let mut view = self.faults.borrow_mut();
-        if view.generation() != gen {
-            view.rebind(gen, self.fabric.fault_plan_arc());
-        }
-        match view.plan() {
+        match self.fault_view().plan() {
             Some(plan) => !plan.crash_active(node, self.clock.now_ns()),
             None => true,
         }
     }
 
+    /// This endpoint's fault view, rebound first if the fabric's fault
+    /// plan changed since the last verb.
+    fn fault_view(&self) -> RefMut<'_, FaultView> {
+        let gen = self.fabric.fault_generation();
+        let mut view = self.faults.borrow_mut();
+        if view.generation() != gen {
+            view.rebind(gen, self.fabric.fault_plan_arc());
+        }
+        view
+    }
+
+    /// The one node-addressed READ/WRITE body: run `op` on `node`'s live
+    /// region, advance the clock by `cost_ns`, and observe the verb.
+    #[inline(always)]
+    fn one_sided<T>(
+        &self,
+        kind: OpKind,
+        node: NodeId,
+        offset: u64,
+        bytes: usize,
+        cost_ns: u64,
+        op: impl FnOnce(&Region) -> RdmaResult<T>,
+    ) -> RdmaResult<T> {
+        let region = self.fabric.slot(node, true, |s| s.region.clone())?;
+        let v = op(&region).map_err(|e| fix_node(e, node))?;
+        self.clock.advance(cost_ns);
+        self.observe(
+            kind,
+            Target::Node(node, offset),
+            bytes,
+            cost_ns,
+            0,
+            outcome::OK,
+        );
+        Ok(v)
+    }
+
+    /// A standalone READ/WRITE: one full round trip plus any fault
+    /// spike, which lands in the verb's recorded cost.
+    #[inline(always)]
+    fn single<T>(
+        &self,
+        kind: OpKind,
+        node: NodeId,
+        offset: u64,
+        bytes: usize,
+        op: impl FnOnce(&Region) -> RdmaResult<T>,
+    ) -> RdmaResult<T> {
+        let extra = self.inject(node)?;
+        self.one_sided(
+            kind,
+            node,
+            offset,
+            bytes,
+            self.profile.rw_cost_ns(bytes) + extra,
+            op,
+        )
+    }
+
     /// One-sided READ of `dst.len()` bytes from `(node, offset)`.
     pub fn read(&self, node: NodeId, offset: u64, dst: &mut [u8]) -> RdmaResult<()> {
-        let extra = self.inject(node)?;
-        let region = self.fabric.live_region(node)?;
-        region.read(offset, dst).map_err(|e| fix_node(e, node))?;
-        let cost = self.profile.rw_cost_ns(dst.len()) + extra;
-        self.clock.advance(cost);
-        self.stats.record(OpKind::Read, dst.len());
-        self.note_verb(OpKind::Read, Some(node), cost, dst.len());
-        self.note_util(node, offset, false, dst.len(), cost, 0);
-        self.record_event(
-            EventKind::Verb(OpKind::Read),
-            Some(node),
-            pack_addr(node, offset),
-            dst.len(),
-            outcome::OK,
-            cost,
-        );
-        Ok(())
+        self.single(OpKind::Read, node, offset, dst.len(), |r| {
+            r.read(offset, dst)
+        })
     }
 
     /// One-sided WRITE of `src` to `(node, offset)`.
     pub fn write(&self, node: NodeId, offset: u64, src: &[u8]) -> RdmaResult<()> {
-        let extra = self.inject(node)?;
-        let region = self.fabric.live_region(node)?;
-        region.write(offset, src).map_err(|e| fix_node(e, node))?;
-        let cost = self.profile.rw_cost_ns(src.len()) + extra;
-        self.clock.advance(cost);
-        self.stats.record(OpKind::Write, src.len());
-        self.note_verb(OpKind::Write, Some(node), cost, src.len());
-        self.note_util(node, offset, true, src.len(), cost, 0);
-        self.record_event(
-            EventKind::Verb(OpKind::Write),
-            Some(node),
-            pack_addr(node, offset),
-            src.len(),
-            outcome::OK,
-            cost,
-        );
-        Ok(())
+        self.single(OpKind::Write, node, offset, src.len(), |r| {
+            r.write(offset, src)
+        })
     }
 
-    /// Pre-flight an entire doorbell batch against the fault plan: every
-    /// distinct target node is checked *before any memory is touched*, so
-    /// an injected fault fails the batch all-or-nothing instead of
-    /// leaving a half-written replica set. Spike latency is charged once
-    /// per distinct node (the doorbell amortizes the rest).
-    fn inject_batch<'t>(&self, targets: impl Iterator<Item = &'t NodeId>) -> RdmaResult<()> {
+    /// Aligned 8-byte read priced as a small one-sided READ.
+    pub fn read_u64(&self, node: NodeId, offset: u64) -> RdmaResult<u64> {
+        self.single(OpKind::Read, node, offset, 8, |r| r.read_u64(offset))
+    }
+
+    /// Aligned 8-byte write priced as a small one-sided WRITE.
+    pub fn write_u64(&self, node: NodeId, offset: u64, value: u64) -> RdmaResult<()> {
+        self.single(OpKind::Write, node, offset, 8, |r| {
+            r.write_u64(offset, value).map(drop)
+        })
+    }
+
+    /// Ring one doorbell over `ops` verbs. The batch is pre-flighted
+    /// against the fault plan first: every distinct target node is
+    /// checked *before any memory is touched*, so an injected fault fails
+    /// the batch all-or-nothing instead of leaving a half-written replica
+    /// set. Spike latency is charged once per distinct node, up front
+    /// (the doorbell amortizes the rest), so member costs exclude it.
+    fn doorbell<'t>(
+        &self,
+        targets: impl Iterator<Item = &'t NodeId>,
+        ops: usize,
+    ) -> RdmaResult<()> {
         let mut seen: Vec<NodeId> = Vec::new();
         let mut extra_total = 0u64;
         for &node in targets {
@@ -884,177 +912,138 @@ impl Endpoint {
             }
         }
         self.clock.advance(extra_total);
+        self.stats.record_doorbell(ops);
         Ok(())
+    }
+
+    /// Cost of the `i`-th member of a doorbell group moving `len` bytes:
+    /// the leader pays `first_ns`, the rest the marginal batched cost.
+    #[inline(always)]
+    fn member_cost(&self, i: usize, first_ns: u64, len: usize) -> u64 {
+        if i == 0 {
+            first_ns
+        } else {
+            self.profile.batched_cost_ns(len)
+        }
     }
 
     /// Doorbell-batched reads: the first pays a full round trip, the rest
     /// pay the marginal batched cost. Targets may span nodes (multiple QPs
     /// rung in one doorbell).
     pub fn read_batch(&self, ops: &mut [(NodeId, u64, &mut [u8])]) -> RdmaResult<()> {
-        self.inject_batch(ops.iter().map(|(node, _, _)| node))?;
-        self.stats.record_doorbell(ops.len());
+        self.doorbell(ops.iter().map(|(node, _, _)| node), ops.len())?;
         for (i, (node, offset, dst)) in ops.iter_mut().enumerate() {
-            let region = self.fabric.live_region(*node)?;
-            region.read(*offset, dst).map_err(|e| fix_node(e, *node))?;
-            let cost = if i == 0 {
-                self.profile.rw_cost_ns(dst.len())
-            } else {
-                self.profile.batched_cost_ns(dst.len())
-            };
-            self.clock.advance(cost);
-            self.stats.record(OpKind::Read, dst.len());
-            self.note_verb(OpKind::Read, Some(*node), cost, dst.len());
-            self.note_util(*node, *offset, false, dst.len(), cost, 0);
-            self.record_event(
-                EventKind::Verb(OpKind::Read),
-                Some(*node),
-                pack_addr(*node, *offset),
-                dst.len(),
-                outcome::OK,
-                cost,
-            );
+            let (node, offset, len) = (*node, *offset, dst.len());
+            let cost = self.member_cost(i, self.profile.rw_cost_ns(len), len);
+            self.one_sided(OpKind::Read, node, offset, len, cost, |r| {
+                r.read(offset, dst)
+            })?;
         }
         Ok(())
     }
 
     /// Doorbell-batched writes (see [`Endpoint::read_batch`]).
     pub fn write_batch(&self, ops: &[(NodeId, u64, &[u8])]) -> RdmaResult<()> {
-        self.inject_batch(ops.iter().map(|(node, _, _)| node))?;
-        self.stats.record_doorbell(ops.len());
-        for (i, (node, offset, src)) in ops.iter().enumerate() {
-            let region = self.fabric.live_region(*node)?;
-            region.write(*offset, src).map_err(|e| fix_node(e, *node))?;
-            let cost = if i == 0 {
-                self.profile.rw_cost_ns(src.len())
-            } else {
-                self.profile.batched_cost_ns(src.len())
-            };
-            self.clock.advance(cost);
-            self.stats.record(OpKind::Write, src.len());
-            self.note_verb(OpKind::Write, Some(*node), cost, src.len());
-            self.note_util(*node, *offset, true, src.len(), cost, 0);
-            self.record_event(
-                EventKind::Verb(OpKind::Write),
-                Some(*node),
-                pack_addr(*node, *offset),
-                src.len(),
-                outcome::OK,
-                cost,
-            );
+        self.doorbell(ops.iter().map(|(node, _, _)| node), ops.len())?;
+        for (i, &(node, offset, src)) in ops.iter().enumerate() {
+            let cost = self.member_cost(i, self.profile.rw_cost_ns(src.len()), src.len());
+            self.one_sided(OpKind::Write, node, offset, src.len(), cost, |r| {
+                r.write(offset, src)
+            })?;
         }
         Ok(())
+    }
+
+    /// The one atomic body: `op` runs on `node`'s live region and
+    /// returns the pre-op value and the outcome code; the verb then
+    /// serializes at the target NIC's atomic unit. The recorded latency
+    /// includes atomic-unit queueing: that contention delay is exactly
+    /// what the per-verb tail should expose.
+    #[inline(always)]
+    fn atomic(
+        &self,
+        kind: OpKind,
+        node: NodeId,
+        offset: u64,
+        op: impl FnOnce(&Region) -> RdmaResult<(u64, u8)>,
+    ) -> RdmaResult<u64> {
+        let extra = self.inject(node)?;
+        let (region, unit) = self
+            .fabric
+            .slot(node, true, |s| (s.region.clone(), s.atomic_unit.clone()))?;
+        let (prev, code) = op(&region).map_err(|e| fix_node(e, node))?;
+        let start = self.clock.now_ns();
+        let wire = self.profile.atomic_cost_ns() + extra;
+        self.clock.advance(wire);
+        if self.profile.atomic_unit_ns > 0 {
+            let done = unit.reserve(self.clock.now_ns(), self.profile.atomic_unit_ns);
+            self.clock.advance_to(done);
+        }
+        let dur = self.clock.now_ns() - start;
+        self.observe(
+            kind,
+            Target::Node(node, offset),
+            8,
+            dur,
+            dur.saturating_sub(wire),
+            code,
+        );
+        Ok(prev)
     }
 
     /// 8-byte compare-and-swap. Returns the pre-op value; the swap
     /// installed iff the return equals `expected`. Atomics serialize at
     /// the target NIC's atomic unit (queueing under contention).
     pub fn cas(&self, node: NodeId, offset: u64, expected: u64, new: u64) -> RdmaResult<u64> {
-        let extra = self.inject(node)?;
-        let (region, unit) = self.fabric.live_region_atomic(node)?;
-        let prev = region
-            .cas_u64(offset, expected, new)
-            .map_err(|e| fix_node(e, node))?;
-        let start = self.clock.now_ns();
-        self.clock.advance(self.profile.atomic_cost_ns() + extra);
-        if self.profile.atomic_unit_ns > 0 {
-            let done = unit.reserve(self.clock.now_ns(), self.profile.atomic_unit_ns);
-            self.clock.advance_to(done);
-        }
-        self.stats.record(OpKind::Cas, 8);
-        // Latency includes atomic-unit queueing: that contention delay is
-        // exactly what the per-verb tail should expose.
-        let dur = self.clock.now_ns() - start;
-        self.note_verb(OpKind::Cas, Some(node), dur, 8);
-        self.note_util(node, offset, true, 8, dur, dur.saturating_sub(self.profile.atomic_cost_ns() + extra));
-        let code = if prev != expected {
-            self.stats.record_cas_failure();
-            // A lost CAS is the contention signal: feed the hot-word
-            // retry sketch with the packed lock-word address.
-            self.contention.note_cas_retry(pack_addr(node, offset));
-            outcome::CAS_LOST
-        } else {
-            outcome::OK
-        };
-        self.record_event(
-            EventKind::Verb(OpKind::Cas),
-            Some(node),
-            pack_addr(node, offset),
-            8,
-            code,
-            dur,
-        );
-        Ok(prev)
+        self.atomic(OpKind::Cas, node, offset, |r| {
+            let prev = r.cas_u64(offset, expected, new)?;
+            Ok((
+                prev,
+                if prev == expected {
+                    outcome::OK
+                } else {
+                    outcome::CAS_LOST
+                },
+            ))
+        })
     }
 
     /// 8-byte fetch-and-add. Returns the pre-add value. Serializes at the
     /// target NIC's atomic unit like [`Endpoint::cas`].
     pub fn faa(&self, node: NodeId, offset: u64, add: u64) -> RdmaResult<u64> {
-        let extra = self.inject(node)?;
-        let (region, unit) = self.fabric.live_region_atomic(node)?;
-        let prev = region
-            .faa_u64(offset, add)
-            .map_err(|e| fix_node(e, node))?;
-        let start = self.clock.now_ns();
-        self.clock.advance(self.profile.atomic_cost_ns() + extra);
-        if self.profile.atomic_unit_ns > 0 {
-            let done = unit.reserve(self.clock.now_ns(), self.profile.atomic_unit_ns);
-            self.clock.advance_to(done);
-        }
-        self.stats.record(OpKind::Faa, 8);
-        let dur = self.clock.now_ns() - start;
-        self.note_verb(OpKind::Faa, Some(node), dur, 8);
-        self.note_util(node, offset, true, 8, dur, dur.saturating_sub(self.profile.atomic_cost_ns() + extra));
-        self.record_event(
-            EventKind::Verb(OpKind::Faa),
-            Some(node),
-            pack_addr(node, offset),
-            8,
-            outcome::OK,
-            dur,
-        );
-        Ok(prev)
+        self.atomic(OpKind::Faa, node, offset, |r| {
+            Ok((r.faa_u64(offset, add)?, outcome::OK))
+        })
     }
 
-    /// Aligned 8-byte read priced as a small one-sided READ.
-    pub fn read_u64(&self, node: NodeId, offset: u64) -> RdmaResult<u64> {
-        let extra = self.inject(node)?;
-        let region = self.fabric.live_region(node)?;
-        let v = region.read_u64(offset).map_err(|e| fix_node(e, node))?;
-        let cost = self.profile.rw_cost_ns(8) + extra;
-        self.clock.advance(cost);
-        self.stats.record(OpKind::Read, 8);
-        self.note_verb(OpKind::Read, Some(node), cost, 8);
-        self.note_util(node, offset, false, 8, cost, 0);
-        self.record_event(
-            EventKind::Verb(OpKind::Read),
-            Some(node),
-            pack_addr(node, offset),
-            8,
+    /// The one SEND body: advance the clock by `cost_ns`, enqueue
+    /// `payload` to mailbox `to` stamped with the virtual delivery time,
+    /// and observe the verb once the post succeeded.
+    fn post(
+        &self,
+        to: MailboxId,
+        from: MailboxId,
+        payload: Vec<u8>,
+        cost_ns: u64,
+    ) -> RdmaResult<()> {
+        let len = payload.len();
+        self.clock.advance(cost_ns);
+        let deliver_at_ns = self.clock.now_ns();
+        self.fabric.mailboxes.post(
+            to,
+            Message {
+                from,
+                payload,
+                deliver_at_ns,
+            },
+        )?;
+        self.observe(
+            OpKind::Send,
+            Target::Mailbox(to),
+            len,
+            cost_ns,
+            0,
             outcome::OK,
-            cost,
-        );
-        Ok(v)
-    }
-
-    /// Aligned 8-byte write priced as a small one-sided WRITE.
-    pub fn write_u64(&self, node: NodeId, offset: u64, value: u64) -> RdmaResult<()> {
-        let extra = self.inject(node)?;
-        let region = self.fabric.live_region(node)?;
-        region
-            .write_u64(offset, value)
-            .map_err(|e| fix_node(e, node))?;
-        let cost = self.profile.rw_cost_ns(8) + extra;
-        self.clock.advance(cost);
-        self.stats.record(OpKind::Write, 8);
-        self.note_verb(OpKind::Write, Some(node), cost, 8);
-        self.note_util(node, offset, true, 8, cost, 0);
-        self.record_event(
-            EventKind::Verb(OpKind::Write),
-            Some(node),
-            pack_addr(node, offset),
-            8,
-            outcome::OK,
-            cost,
         );
         Ok(())
     }
@@ -1062,21 +1051,8 @@ impl Endpoint {
     /// Two-sided SEND: enqueue `payload` to mailbox `to`, stamped with the
     /// virtual delivery time.
     pub fn send(&self, to: MailboxId, from: MailboxId, payload: Vec<u8>) -> RdmaResult<()> {
-        let len = payload.len();
-        let cost = self.profile.send_cost_ns(len);
-        self.clock.advance(cost);
-        self.fabric.mailboxes.post(
-            to,
-            Message {
-                from,
-                payload,
-                deliver_at_ns: self.clock.now_ns(),
-            },
-        )?;
-        self.stats.record(OpKind::Send, len);
-        self.note_verb(OpKind::Send, None, cost, len);
-        self.record_event(EventKind::Verb(OpKind::Send), None, to, len, outcome::OK, cost);
-        Ok(())
+        let cost = self.profile.send_cost_ns(payload.len());
+        self.post(to, from, payload, cost)
     }
 
     /// Doorbell-batched two-sided SENDs: one WQE list, one doorbell ring.
@@ -1089,35 +1065,11 @@ impl Endpoint {
         msgs: impl IntoIterator<Item = (MailboxId, MailboxId, Vec<u8>)>,
     ) -> RdmaResult<u32> {
         let mut delivered = 0u32;
-        for (posted, (to, from, payload)) in msgs.into_iter().enumerate() {
+        for (i, (to, from, payload)) in msgs.into_iter().enumerate() {
             let len = payload.len();
-            let cost = if posted == 0 {
-                self.profile.send_cost_ns(len)
-            } else {
-                self.profile.batched_cost_ns(len)
-            };
-            self.clock.advance(cost);
-            match self.fabric.mailboxes.post(
-                to,
-                Message {
-                    from,
-                    payload,
-                    deliver_at_ns: self.clock.now_ns(),
-                },
-            ) {
-                Ok(()) => {
-                    self.stats.record(OpKind::Send, len);
-                    self.note_verb(OpKind::Send, None, cost, len);
-                    self.record_event(
-                        EventKind::Verb(OpKind::Send),
-                        None,
-                        to,
-                        len,
-                        outcome::OK,
-                        cost,
-                    );
-                    delivered += 1;
-                }
+            let cost = self.member_cost(i, self.profile.send_cost_ns(len), len);
+            match self.post(to, from, payload, cost) {
+                Ok(()) => delivered += 1,
                 Err(RdmaError::NoReceiver(_)) => {}
                 Err(e) => return Err(e),
             }
@@ -1151,15 +1103,13 @@ impl Endpoint {
         // message was already in flight past our clock.
         let wait = msg.deliver_at_ns.saturating_sub(self.clock.now_ns());
         self.clock.advance_to(msg.deliver_at_ns);
-        self.stats.record(OpKind::Recv, msg.payload.len());
-        self.note_verb(OpKind::Recv, None, wait, msg.payload.len());
-        self.record_event(
-            EventKind::Verb(OpKind::Recv),
-            None,
-            msg.from,
+        self.observe(
+            OpKind::Recv,
+            Target::Mailbox(msg.from),
             msg.payload.len(),
-            outcome::OK,
             wait,
+            0,
+            outcome::OK,
         );
     }
 }

@@ -124,12 +124,8 @@ impl FlightRecorder {
     /// Set the ring capacity; clears any recorded events.
     pub fn set_capacity(&self, cap: usize) {
         self.cap.set(cap);
-        self.next.set(0);
-        self.dropped.set(0);
-        self.pushed.set(0);
-        let mut buf = self.buf.borrow_mut();
-        buf.clear();
-        buf.reserve(cap.min(1 << 20));
+        self.clear();
+        self.buf.borrow_mut().reserve(cap.min(1 << 20));
     }
 
     /// Current ring capacity.
@@ -204,16 +200,8 @@ impl FlightRecorder {
     }
 }
 
-fn verb_name(kind: OpKind) -> &'static str {
-    match kind {
-        OpKind::Read => "READ",
-        OpKind::Write => "WRITE",
-        OpKind::Cas => "CAS",
-        OpKind::Faa => "FAA",
-        OpKind::Send => "SEND",
-        OpKind::Recv => "RECV",
-    }
-}
+/// Trace name of each verb class, indexed by `kind as usize`.
+const VERB_NAMES: [&str; 6] = ["READ", "WRITE", "CAS", "FAA", "SEND", "RECV"];
 
 /// Translate one recorder event into the forensics domain. Phase
 /// boundaries return `None` (the phase bucket already rides on every
@@ -222,7 +210,7 @@ pub fn to_path_event(e: &Event) -> Option<telemetry::PathEvent> {
     let step = match e.kind {
         EventKind::Wait => telemetry::StepKind::Wait { holder: e.aux },
         EventKind::Verb(k) => telemetry::StepKind::Verb {
-            op: verb_name(k),
+            op: VERB_NAMES[k as usize],
             ok: e.outcome == outcome::OK,
             lost_race: e.outcome == outcome::CAS_LOST,
         },
@@ -271,7 +259,8 @@ pub fn export_chrome(events: &[Event], pid: u64, tid: u64, trace: &mut ChromeTra
                 if ev.outcome != outcome::OK {
                     args.push(("outcome", Json::S(outcome::name(ev.outcome).into())));
                 }
-                trace.complete(verb_name(k), "verb", ev.ts_ns, ev.dur_ns, pid, tid, args);
+                let op = VERB_NAMES[k as usize];
+                trace.complete(op, "verb", ev.ts_ns, ev.dur_ns, pid, tid, args);
             }
             EventKind::Fault => {
                 let name = format!("fault:{}", outcome::name(ev.outcome));

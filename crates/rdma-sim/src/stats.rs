@@ -13,7 +13,8 @@
 
 use std::cell::Cell;
 
-/// The verb classes we account separately.
+/// The verb classes we account separately. `kind as usize` indexes
+/// per-class arrays in declaration order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpKind {
     /// One-sided remote read.
@@ -33,19 +34,18 @@ pub enum OpKind {
 /// Mutable per-endpoint counters.
 #[derive(Debug, Default)]
 pub struct OpStats {
-    reads: Cell<u64>,
-    writes: Cell<u64>,
-    cas: Cell<u64>,
-    faa: Cell<u64>,
-    sends: Cell<u64>,
-    recvs: Cell<u64>,
-    bytes_read: Cell<u64>,
-    bytes_written: Cell<u64>,
-    bytes_sent: Cell<u64>,
-    bytes_recvd: Cell<u64>,
+    /// Verbs per class, indexed by `kind as usize`.
+    verbs: [Cell<u64>; 6],
+    /// Payload bytes per class (CAS and FAA bytes are not reported).
+    bytes: [Cell<u64>; 6],
     cas_failures: Cell<u64>,
     doorbells: Cell<u64>,
     coalesced: Cell<u64>,
+}
+
+#[inline(always)]
+fn bump(c: &Cell<u64>, by: u64) {
+    c.set(c.get() + by);
 }
 
 impl OpStats {
@@ -55,33 +55,14 @@ impl OpStats {
 
     #[inline]
     pub fn record(&self, kind: OpKind, bytes: usize) {
-        match kind {
-            OpKind::Read => {
-                self.reads.set(self.reads.get() + 1);
-                self.bytes_read.set(self.bytes_read.get() + bytes as u64);
-            }
-            OpKind::Write => {
-                self.writes.set(self.writes.get() + 1);
-                self.bytes_written
-                    .set(self.bytes_written.get() + bytes as u64);
-            }
-            OpKind::Cas => self.cas.set(self.cas.get() + 1),
-            OpKind::Faa => self.faa.set(self.faa.get() + 1),
-            OpKind::Send => {
-                self.sends.set(self.sends.get() + 1);
-                self.bytes_sent.set(self.bytes_sent.get() + bytes as u64);
-            }
-            OpKind::Recv => {
-                self.recvs.set(self.recvs.get() + 1);
-                self.bytes_recvd.set(self.bytes_recvd.get() + bytes as u64);
-            }
-        }
+        bump(&self.verbs[kind as usize], 1);
+        bump(&self.bytes[kind as usize], bytes as u64);
     }
 
     /// A CAS verb that completed but did not install its new value.
     #[inline]
     pub fn record_cas_failure(&self) {
-        self.cas_failures.set(self.cas_failures.get() + 1);
+        bump(&self.cas_failures, 1);
     }
 
     /// A doorbell ring covering `ops` verbs posted as one batch. Each verb
@@ -92,18 +73,16 @@ impl OpStats {
         if ops == 0 {
             return;
         }
-        self.doorbells.set(self.doorbells.get() + 1);
-        self.coalesced.set(self.coalesced.get() + (ops as u64 - 1));
+        bump(&self.doorbells, 1);
+        bump(&self.coalesced, ops as u64 - 1);
     }
 
-    /// Live verb count (all kinds) — cheap enough for every span boundary.
+    /// Live verb count (every kind but RECV, which rides on a peer's
+    /// SEND) — cheap enough for every span boundary.
     #[inline]
     pub fn verbs_now(&self) -> u64 {
-        self.reads.get()
-            + self.writes.get()
-            + self.cas.get()
-            + self.faa.get()
-            + self.sends.get()
+        let all: u64 = self.verbs.iter().map(Cell::get).sum();
+        all - self.verbs[OpKind::Recv as usize].get()
     }
 
     /// Live wire round trips: verbs minus doorbell riders.
@@ -114,17 +93,19 @@ impl OpStats {
 
     /// Copy out the counters.
     pub fn snapshot(&self) -> StatsSnapshot {
+        let verbs = |k: OpKind| self.verbs[k as usize].get();
+        let bytes = |k: OpKind| self.bytes[k as usize].get();
         StatsSnapshot {
-            reads: self.reads.get(),
-            writes: self.writes.get(),
-            cas: self.cas.get(),
-            faa: self.faa.get(),
-            sends: self.sends.get(),
-            recvs: self.recvs.get(),
-            bytes_read: self.bytes_read.get(),
-            bytes_written: self.bytes_written.get(),
-            bytes_sent: self.bytes_sent.get(),
-            bytes_recvd: self.bytes_recvd.get(),
+            reads: verbs(OpKind::Read),
+            writes: verbs(OpKind::Write),
+            cas: verbs(OpKind::Cas),
+            faa: verbs(OpKind::Faa),
+            sends: verbs(OpKind::Send),
+            recvs: verbs(OpKind::Recv),
+            bytes_read: bytes(OpKind::Read),
+            bytes_written: bytes(OpKind::Write),
+            bytes_sent: bytes(OpKind::Send),
+            bytes_recvd: bytes(OpKind::Recv),
             cas_failures: self.cas_failures.get(),
             doorbells: self.doorbells.get(),
             coalesced: self.coalesced.get(),
@@ -133,19 +114,10 @@ impl OpStats {
 
     /// Zero all counters (between experiment phases).
     pub fn reset(&self) {
-        self.reads.set(0);
-        self.writes.set(0);
-        self.cas.set(0);
-        self.faa.set(0);
-        self.sends.set(0);
-        self.recvs.set(0);
-        self.bytes_read.set(0);
-        self.bytes_written.set(0);
-        self.bytes_sent.set(0);
-        self.bytes_recvd.set(0);
-        self.cas_failures.set(0);
-        self.doorbells.set(0);
-        self.coalesced.set(0);
+        let tail = [&self.cas_failures, &self.doorbells, &self.coalesced];
+        for c in self.verbs.iter().chain(&self.bytes).chain(tail) {
+            c.set(0);
+        }
     }
 }
 

@@ -723,36 +723,68 @@ mod tests {
         // Readers and writers hammering the same lock: meta must end at 0
         // and a protected counter must equal the number of writer
         // sections.
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+        use std::time::{Duration, Instant};
+        // Backoff is virtual time only, so a descheduled latch holder can
+        // exhaust a whole retry budget in microseconds of host time: every
+        // acquire and release retries until it succeeds. The spin is
+        // bounded in host time, and a panicking thread stops the others,
+        // so a failure reports its message instead of hanging the suite.
+        const SPIN_LIMIT: Duration = Duration::from_secs(60);
+        struct StopOnPanic<'a>(&'a AtomicBool);
+        impl Drop for StopOnPanic<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0.store(true, Relaxed);
+                }
+            }
+        }
         let (f, l, a) = setup();
         let data = l.alloc(8).unwrap();
-        let writes_done = std::sync::atomic::AtomicU64::new(0);
+        let writes_done = AtomicU64::new(0);
+        let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
             for t in 0..4 {
                 let (f, l) = (f.clone(), l.clone());
-                let writes_done = &writes_done;
+                let (writes_done, stop) = (&writes_done, &stop);
                 s.spawn(move || {
+                    let _guard = StopOnPanic(stop);
                     let ep = f.endpoint();
+                    let spin = |what: &str, op: &dyn Fn() -> Result<(), LockError>| {
+                        let start = Instant::now();
+                        loop {
+                            match op() {
+                                Ok(()) => return,
+                                Err(LockError::Busy | LockError::Timeout) => {}
+                                Err(e) => panic!("{what}: {e}"),
+                            }
+                            assert!(!stop.load(Relaxed), "{what}: another thread failed");
+                            assert!(
+                                start.elapsed() < SPIN_LIMIT,
+                                "{what}: no progress in {SPIN_LIMIT:?}"
+                            );
+                            std::thread::yield_now();
+                        }
+                    };
                     for i in 0..200 {
                         if (t + i) % 4 == 0 {
-                            loop {
-                                if SharedExclusiveLock::acquire_exclusive(&l, &ep, a, 100).is_ok() {
-                                    break;
-                                }
-                                std::thread::yield_now();
-                            }
+                            spin("acquire_exclusive", &|| {
+                                SharedExclusiveLock::acquire_exclusive(&l, &ep, a, 100)
+                            });
                             let v = l.read_u64(&ep, data).unwrap();
                             l.write_u64(&ep, data, v + 1).unwrap();
-                            writes_done.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            SharedExclusiveLock::release_exclusive(&l, &ep, a, 100).unwrap();
+                            writes_done.fetch_add(1, Relaxed);
+                            spin("release_exclusive", &|| {
+                                SharedExclusiveLock::release_exclusive(&l, &ep, a, 100)
+                            });
                         } else {
-                            loop {
-                                if SharedExclusiveLock::acquire_shared(&l, &ep, a, 100).is_ok() {
-                                    break;
-                                }
-                                std::thread::yield_now();
-                            }
+                            spin("acquire_shared", &|| {
+                                SharedExclusiveLock::acquire_shared(&l, &ep, a, 100)
+                            });
                             let _ = l.read_u64(&ep, data).unwrap();
-                            SharedExclusiveLock::release_shared(&l, &ep, a, 100).unwrap();
+                            spin("release_shared", &|| {
+                                SharedExclusiveLock::release_shared(&l, &ep, a, 100)
+                            });
                         }
                     }
                 });
